@@ -60,7 +60,7 @@ check-cache: build
 	cmp _build/cc-oracle.jsonl _build/cc-cold.jsonl
 	cmp _build/cc-oracle.jsonl _build/cc-warm.jsonl
 
-# Run the whole suite under 1, 2 and 8 worker domains.  ADCHECK_JOBS=1
+# Run the whole suite under 1, 2 and 8 domains.  ADCHECK_JOBS=1
 # is the sequential oracle; any divergence at 2 or 8 is a determinism
 # bug in the pool fan-out or the counter merge.  The suite includes the
 # coverage differential (test_parallel_determinism): the full scenario
@@ -70,11 +70,19 @@ check-cache: build
 # counters AND attributed-timing histogram buckets — byte-identical at
 # jobs=1/2/8 under the tick clock.  Every ADCHECK_JOBS value below
 # re-checks both merges.  --force because dune does not track
-# environment variables as dependencies.
+# environment variables as dependencies.  ADCHECK_JOBS=2 is the
+# one-worker edge case (the caller is the second domain).  Each leg runs
+# under `timeout`, so a pool deadlock fails the target with a message
+# instead of hanging it.
 check-par:
 	for j in 1 2 8; do \
 	  echo "== dune runtest (ADCHECK_JOBS=$$j) =="; \
-	  ADCHECK_JOBS=$$j dune runtest --force || exit 1; \
+	  ADCHECK_JOBS=$$j timeout 900 dune runtest --force; \
+	  rc=$$?; \
+	  if [ $$rc -eq 124 ]; then \
+	    echo "check-par: dune runtest at ADCHECK_JOBS=$$j timed out after 900 s (pool deadlock?)"; \
+	  fi; \
+	  [ $$rc -eq 0 ] || exit 1; \
 	done
 	rm -rf _build/check-par-store
 	dune build bin/adcheck.exe
@@ -89,7 +97,7 @@ check-par:
 
 # Machine-readable performance records: per-experiment wall time plus
 # telemetry counter snapshots on the small corpus.  BENCH_2.json sweeps
-# the table1 pipeline across worker-domain counts (jobs=1 vs jobs=4);
+# the table1 pipeline across domain counts (jobs=1 vs jobs=4);
 # identical counters across the sweep are part of the record.
 # BENCH_3.json sweeps the scenario-parallel coverage phase (the full
 # scenario set: real scenarios + fault injection + testgen probes) —

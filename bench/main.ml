@@ -12,7 +12,7 @@
     Options:
       --scale small|full   corpus scale for the audit (default full)
       --seed N             generator seed (default 2019)
-      --jobs LIST          comma-separated worker-domain counts, e.g. 1,4;
+      --jobs LIST          comma-separated domain counts, e.g. 1,4;
                            each selected experiment is re-run per value on
                            a fresh audit (default: ADCHECK_JOBS, else 1)
       --out FILE           write per-experiment wall time + telemetry
@@ -565,7 +565,7 @@ let run_scenarios () =
   in
   let stmt, branch, mcdc = Coverage.Collector.averages files in
   Printf.printf
-    "%d scenarios on %d worker domain(s): coverage phase %.1f ms\n\
+    "%d scenarios on %d domain(s): coverage phase %.1f ms\n\
      merged coverage (identical at every --jobs value):\n"
     n_scenarios (Util.Pool.default_jobs ()) coverage_ms;
   print_string
@@ -612,7 +612,7 @@ let run_compile () =
   if tree_fp <> bc_fp then
     failwith "compile bench: engine fingerprints diverge";
   Printf.printf
-    "%d scenarios on %d worker domain(s), merged fingerprints identical\n\
+    "%d scenarios on %d domain(s), merged fingerprints identical\n\
      tree:     %8d steps  %8.1f ms\n\
      bytecode: %8d steps  %8.1f ms\n\
      step ratio %.2fx (bytecode dispatches fewer, coarser instructions)\n"
@@ -627,7 +627,7 @@ let run_interproc () =
   print_string (Iso26262.Report.render_interproc ip);
   let r = ip.Interproc.Summary.graph.Cfront.Callgraph.resolution in
   Printf.printf
-    "\n%d summaries over %d SCCs in %d bottom-up levels on %d worker domain(s);\n\
+    "\n%d summaries over %d SCCs in %d bottom-up levels on %d domain(s);\n\
      resolution confidence: %d of %d call sites resolved.\n"
     (List.length ip.Interproc.Summary.summaries) ip.Interproc.Summary.n_sccs
     ip.Interproc.Summary.n_levels

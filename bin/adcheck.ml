@@ -40,8 +40,10 @@ let verbose_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel analysis stages (per-file parsing, \
-     per-rule MISRA checking, per-function dataflow solving).  $(b,1) runs \
+    "Domains running the parallel analysis stages at once (per-file \
+     parsing, per-rule MISRA checking, per-function dataflow solving): \
+     $(docv)-1 worker domains plus the main domain, which runs queued \
+     work while it waits.  $(b,1) runs \
      the exact sequential code path — the oracle the differential tests \
      compare against; reports and telemetry counters are identical at every \
      value.  Overrides the $(b,ADCHECK_JOBS) environment variable."
@@ -510,8 +512,10 @@ let check_cmd =
     let doc = "C/C++/CUDA source files to analyze." in
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
   in
-  let run paths tele =
-    with_telemetry ~cmd:"check" tele @@ fun () ->
+  (* Returns the number of files with parse diagnostics: such a file was
+     not (fully) analysed and its MISRA counts would read as a clean
+     result, so it is left out of the summary and the run fails. *)
+  let analyse paths =
     let read path =
       let ic = open_in_bin path in
       let n = in_channel_length ic in
@@ -536,16 +540,44 @@ let check_cmd =
         let tu = pf.Cfront.Project.tu in
         Printf.printf "== %s\n" tu.Cfront.Ast.tu_file;
         List.iter (fun d -> Printf.printf "  parse: %s\n" d) tu.Cfront.Ast.diags;
-        List.iter
-          (fun (c : Metrics.Complexity.func_cc) ->
-            Printf.printf "  CC %3d  %s\n" c.Metrics.Complexity.cc
-              (Cfront.Ast.qualified_name c.Metrics.Complexity.fn))
-          (Metrics.Complexity.of_functions (Cfront.Ast.functions_of_tu tu)))
+        if tu.Cfront.Ast.diags <> [] then print_string "  NOT ANALYSED\n"
+        else
+          List.iter
+            (fun (c : Metrics.Complexity.func_cc) ->
+              Printf.printf "  CC %3d  %s\n" c.Metrics.Complexity.cc
+                (Cfront.Ast.qualified_name c.Metrics.Complexity.fn))
+            (Metrics.Complexity.of_functions (Cfront.Ast.functions_of_tu tu)))
       parsed.Cfront.Project.files;
-    let report = Misra.Registry.run_project parsed in
-    print_string (Misra.Registry.render_summary report)
+    let unanalysed, analysed =
+      List.partition
+        (fun (pf : Cfront.Project.parsed_file) ->
+          pf.Cfront.Project.tu.Cfront.Ast.diags <> [])
+        parsed.Cfront.Project.files
+    in
+    if analysed <> [] then begin
+      if unanalysed <> [] then
+        Printf.printf "MISRA summary over %d of %d file(s); NOT ANALYSED files excluded\n"
+          (List.length analysed) (List.length parsed.Cfront.Project.files);
+      let report =
+        Misra.Registry.run_project { parsed with Cfront.Project.files = analysed }
+      in
+      print_string (Misra.Registry.render_summary report)
+    end;
+    List.length unanalysed
   in
-  let doc = "Parse C/C++/CUDA files from disk and report complexity plus MISRA-subset violations." in
+  let run paths tele =
+    let unanalysed = with_telemetry ~cmd:"check" tele (fun () -> analyse paths) in
+    if unanalysed > 0 then begin
+      Printf.eprintf "adcheck: %d file(s) NOT ANALYSED (parse diagnostics above)\n"
+        unanalysed;
+      exit 1
+    end
+  in
+  let doc =
+    "Parse C/C++/CUDA files from disk and report complexity plus MISRA-subset \
+     violations.  A file with parse diagnostics is labelled NOT ANALYSED, \
+     left out of the MISRA summary, and makes the command exit 1."
+  in
   Cmd.v (Cmd.info "check" ~doc) Term.(const run $ files_arg $ telemetry_term)
 
 (* ------------------------------------------------------------------ *)

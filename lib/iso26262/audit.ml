@@ -279,9 +279,13 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
       (metrics, yolo, stencil)
     | Some pool ->
       (* Pipelined phases: the corpus parse above is the shared prefix;
-         misra, dataflow and the two coverage scenarios fan out to pool
-         workers while the main domain runs the core metric walk, and
-         everything joins before report assembly.  Phases only read
+         misra, dataflow and the two coverage scenarios are queued on
+         the pool while the main domain runs the core metric walk, and
+         everything joins before report assembly.  The walk forces the
+         dataflow and MISRA futures only after its own work
+         ([of_parsed_deferred]), and every await runs queued tasks — the
+         phases' own fan-outs included — so the main domain is one of
+         the pool's [jobs] domains throughout.  Phases only read
          [parsed] and merge into telemetry counters (mutex-protected
          sums, so totals are independent of interleaving); spans emitted
          on workers carry the worker's domain id and overlap in a
@@ -314,9 +318,9 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
       let f_stencil = submit_collected "coverage.stencil" stencil_phase in
       let metrics =
         Telemetry.gc_phase "metrics" (fun () ->
-            Project_metrics.of_parsed_with
+            Project_metrics.of_parsed_deferred
               ~misra:(fun () -> await_absorb f_misra)
-              ~module_dataflow:(await_absorb f_dataflow) parsed)
+              ~module_dataflow:(fun () -> await_absorb f_dataflow) parsed)
       in
       (metrics, await_absorb f_yolo, await_absorb f_stencil)
   in

@@ -92,35 +92,33 @@ let module_dataflow_of_parsed (parsed : Cfront.Project.parsed) =
       (m, Dataflow.Analyses.totals_of summaries))
     (Cfront.Project.module_names parsed.Cfront.Project.project)
 
-let of_parsed_with ~(misra : unit -> Misra.Registry.report)
-    ~(module_dataflow : (string * Dataflow.Analyses.totals) list)
+let of_parsed_deferred ~(misra : unit -> Misra.Registry.report)
+    ~(module_dataflow : unit -> (string * Dataflow.Analyses.totals) list)
     (parsed : Cfront.Project.parsed) =
   Telemetry.with_span ~cat:"metrics" "metrics"
     ~attrs:[ ("files", string_of_int (List.length parsed.Cfront.Project.files)) ]
   @@ fun () ->
   let module_names = Cfront.Project.module_names parsed.Cfront.Project.project in
+  (* The walk: every field that needs neither phase, each bound in
+     order, so a pipelined caller forces its futures only at the end. *)
   let per_module =
     List.map
       (fun m ->
         let pfs = Cfront.Project.parsed_files_of_module parsed m in
         let fns = Cfront.Project.defined_functions pfs in
         let loc = Metrics.Loc_metrics.of_files pfs in
-        {
-          modname = m;
-          complexity =
-            Metrics.Complexity.summarize ~modname:m
-              ~loc:loc.Metrics.Loc_metrics.physical fns;
-          loc;
-          globals = List.length (Metrics.Globals.of_files pfs);
-          multi_exit_frac = Metrics.Func_shape.multi_exit_fraction fns;
-          gotos = Metrics.Func_shape.total_gotos fns;
-          dataflow =
-            (match List.assoc_opt m module_dataflow with
-             | Some t -> t
-             | None ->
-               Dataflow.Analyses.totals_of
-                 (Dataflow.Analyses.summarize_functions fns));
-        })
+        ( {
+            modname = m;
+            complexity =
+              Metrics.Complexity.summarize ~modname:m
+                ~loc:loc.Metrics.Loc_metrics.physical fns;
+            loc;
+            globals = List.length (Metrics.Globals.of_files pfs);
+            multi_exit_frac = Metrics.Func_shape.multi_exit_fraction fns;
+            gotos = Metrics.Func_shape.total_gotos fns;
+            dataflow = Dataflow.Analyses.zero_totals;
+          },
+          fns ))
       module_names
   in
   let all_fns = Cfront.Project.all_functions parsed in
@@ -130,6 +128,39 @@ let of_parsed_with ~(misra : unit -> Misra.Registry.report)
   let graph = Cfront.Callgraph.build all_fns in
   let loc_all = Metrics.Loc_metrics.of_files files in
   let style = Metrics.Style.of_files files in
+  let uninit_findings = Metrics.Uninit.of_functions all_fns in
+  let recursive_functions = Cfront.Callgraph.recursive_functions graph in
+  let dyn_alloc_sites =
+    List.length (Metrics.Pointers.dyn_allocs_of_functions all_fns)
+  in
+  let pointer_usage = Metrics.Pointers.usage_of_functions all_fns in
+  let multi_exit_frac = Metrics.Func_shape.multi_exit_fraction all_fns in
+  let param_validation_ratio = Metrics.Defensive.param_validation_ratio all_fns in
+  let ignored_returns =
+    List.length (Metrics.Defensive.ignored_returns ~funcs:all_fns all_fns)
+  in
+  let assertions = Metrics.Defensive.assertion_count all_fns in
+  let naming_violations = List.length (Metrics.Naming.of_files files) in
+  let architecture = Metrics.Architecture.build ~parsed in
+  let namespace_depth = Metrics.Architecture.namespace_depth files in
+  let cuda = Cudasim.Census.of_files files in
+  let interproc = Interproc.Summary.analyze parsed in
+  (* The join: dataflow totals (a module missing from them falls back to
+     an inline solve), then MISRA. *)
+  let module_dataflow = module_dataflow () in
+  let per_module =
+    List.map
+      (fun (m, fns) ->
+        let dataflow =
+          match List.assoc_opt m.modname module_dataflow with
+          | Some t -> t
+          | None ->
+            Dataflow.Analyses.totals_of (Dataflow.Analyses.summarize_functions fns)
+        in
+        { m with dataflow })
+      per_module
+  in
+  let misra = misra () in
   let sum f = Util.Stats.sum_int (List.map f per_module) in
   {
     modules = per_module;
@@ -141,7 +172,7 @@ let of_parsed_with ~(misra : unit -> Misra.Registry.report)
     explicit_casts = Metrics.Casts.explicit_count casts;
     implicit_conversions = Metrics.Casts.implicit_count casts;
     globals_total = sum (fun m -> m.globals);
-    uninit_findings = Metrics.Uninit.of_functions all_fns;
+    uninit_findings;
     shadowing_count =
       List.length
         (List.filter
@@ -153,30 +184,33 @@ let of_parsed_with ~(misra : unit -> Misra.Registry.report)
            (fun (f : Metrics.Shadowing.finding) -> f.Metrics.Shadowing.kind = `Duplicate_global)
            shadowing);
     gotos_total = sum (fun m -> m.gotos);
-    recursive_functions = Cfront.Callgraph.recursive_functions graph;
-    dyn_alloc_sites = List.length (Metrics.Pointers.dyn_allocs_of_functions all_fns);
-    pointer_usage = Metrics.Pointers.usage_of_functions all_fns;
-    multi_exit_frac = Metrics.Func_shape.multi_exit_fraction all_fns;
-    param_validation_ratio = Metrics.Defensive.param_validation_ratio all_fns;
-    ignored_returns =
-      List.length (Metrics.Defensive.ignored_returns ~funcs:all_fns all_fns);
-    assertions = Metrics.Defensive.assertion_count all_fns;
+    recursive_functions;
+    dyn_alloc_sites;
+    pointer_usage;
+    multi_exit_frac;
+    param_validation_ratio;
+    ignored_returns;
+    assertions;
     style_findings = List.length style;
     style_per_kloc = Metrics.Style.per_kloc style loc_all;
-    naming_violations = List.length (Metrics.Naming.of_files files);
-    architecture = Metrics.Architecture.build ~parsed;
-    namespace_depth = Metrics.Architecture.namespace_depth files;
-    cuda = Cudasim.Census.of_files files;
-    interproc = Interproc.Summary.analyze parsed;
-    misra = misra ();
+    naming_violations;
+    architecture;
+    namespace_depth;
+    cuda;
+    interproc;
+    misra;
     dataflow =
       List.fold_left
         (fun t (m : module_metrics) -> Dataflow.Analyses.add_totals t m.dataflow)
         Dataflow.Analyses.zero_totals per_module;
   }
 
+let of_parsed_with ~misra ~module_dataflow parsed =
+  of_parsed_deferred ~misra ~module_dataflow:(fun () -> module_dataflow) parsed
+
 let of_parsed (parsed : Cfront.Project.parsed) =
   let module_dataflow = module_dataflow_of_parsed parsed in
-  of_parsed_with ~misra:(fun () -> misra_of_parsed parsed) ~module_dataflow parsed
+  let misra = misra_of_parsed parsed in
+  of_parsed_with ~misra:(fun () -> misra) ~module_dataflow parsed
 
 let find_module t name = List.find_opt (fun m -> m.modname = name) t.modules

@@ -64,12 +64,20 @@ val misra_of_parsed : Cfront.Project.parsed -> Misra.Registry.report
 val module_dataflow_of_parsed :
   Cfront.Project.parsed -> (string * Dataflow.Analyses.totals) list
 
-(** [of_parsed_with ~misra ~module_dataflow parsed] assembles the record
-    with the MISRA report supplied by the [misra] thunk (called last, so
-    a pipelined caller blocks on that future only at the join) and the
-    per-module dataflow totals looked up in [module_dataflow] (missing
-    modules fall back to an inline solve).  [of_parsed] is exactly this
-    with the two phases computed sequentially first. *)
+(** [of_parsed_deferred ~misra ~module_dataflow parsed] runs the core
+    metric walk first and only then forces [module_dataflow] (per-module
+    dataflow totals; a module missing from them falls back to an inline
+    solve) and, last, [misra] — so a pipelined caller whose thunks await
+    pool futures keeps working until the join. *)
+val of_parsed_deferred :
+  misra:(unit -> Misra.Registry.report) ->
+  module_dataflow:(unit -> (string * Dataflow.Analyses.totals) list) ->
+  Cfront.Project.parsed ->
+  t
+
+(** {!of_parsed_deferred} with the dataflow totals already computed.
+    [of_parsed] is exactly this with the two phases computed
+    sequentially first. *)
 val of_parsed_with :
   misra:(unit -> Misra.Registry.report) ->
   module_dataflow:(string * Dataflow.Analyses.totals) list ->

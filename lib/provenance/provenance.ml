@@ -89,6 +89,16 @@ let global_rev : finding list ref = ref []
 let local_buf : finding list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+(* A task that a domain runs while helping inside [Util.Pool.await]
+   records as it would at a worker's top level, never into the buffer
+   of the [collect] it interrupted: that buffer may end up in a cached
+   artifact of other code. *)
+let () =
+  Util.Pool.add_help_context (fun () ->
+      let buf = Domain.DLS.get local_buf in
+      Domain.DLS.set local_buf None;
+      fun () -> Domain.DLS.set local_buf buf)
+
 let record f =
   Telemetry.incr ("provenance.findings." ^ f.f_kind);
   match Domain.DLS.get local_buf with

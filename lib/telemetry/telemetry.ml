@@ -24,9 +24,14 @@ let span_clock = ref wall_clock
 let now_us () = !clock ()
 let span_now_us () = !span_clock ()
 
+(* Saves the work clock's per-domain state and returns its restorer;
+   a no-op unless the tick clock is installed. *)
+let save_work_ticks : (unit -> unit -> unit) ref = ref (fun () () -> ())
+
 let set_clock c =
   clock := c;
-  span_clock := c
+  span_clock := c;
+  save_work_ticks := fun () () -> ()
 
 let install_tick_clock ?(step_us = 1.0) () =
   (* One tick counter per domain: a clock read on a worker domain must
@@ -37,17 +42,22 @@ let install_tick_clock ?(step_us = 1.0) () =
      nested reads always measures exactly one tick, wherever it ran. *)
   let tick_stream () =
     let key = Domain.DLS.new_key (fun () -> ref (-.step_us)) in
-    fun () ->
-      let t = Domain.DLS.get key in
-      t := !t +. step_us;
-      !t
+    ( key,
+      fun () ->
+        let t = Domain.DLS.get key in
+        t := !t +. step_us;
+        !t )
   in
-  clock := tick_stream ();
-  span_clock := tick_stream ()
+  let work_key, work = tick_stream () in
+  clock := work;
+  span_clock := snd (tick_stream ());
+  save_work_ticks :=
+    fun () ->
+      let t = Domain.DLS.get work_key in
+      let saved = !t in
+      fun () -> t := saved
 
-let use_wall_clock () =
-  clock := wall_clock;
-  span_clock := wall_clock
+let use_wall_clock () = set_clock wall_clock
 
 (* The pool's queue-wait/task-latency instrumentation always reads the
    wall clock, never the pluggable one: pool metrics are runtime-tier
@@ -126,6 +136,20 @@ type buffer = {
 
 let local_buf : buffer option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
+
+(* A task that a domain runs while helping inside [Util.Pool.await] runs
+   as it would at a worker's top level: no metric buffer of the task it
+   interrupts, and its clock reads rewound afterwards, so the timed
+   region the domain is awaiting in measures only its own reads — the
+   same ticks whichever tasks the domain happened to help with. *)
+let () =
+  Util.Pool.add_help_context (fun () ->
+      let buf = Domain.DLS.get local_buf in
+      Domain.DLS.set local_buf None;
+      let restore_ticks = !save_work_ticks () in
+      fun () ->
+        restore_ticks ();
+        Domain.DLS.set local_buf buf)
 
 let set_enabled b =
   on := b;

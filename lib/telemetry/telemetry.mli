@@ -42,7 +42,10 @@ val set_clock : (unit -> float) -> unit
     value.  Spans get an independent tick stream: span creation is
     suppressed on buffering workers, so if spans consumed work-tier
     ticks, a timed body that opens a span would measure differently
-    sequentially than on a worker. *)
+    sequentially than on a worker.  A task that a domain runs while it
+    helps inside {!Util.Pool.await} has its work ticks rewound
+    afterwards, so a region awaiting a fan-out never counts the reads
+    of whatever queued tasks its domain happened to help with. *)
 val install_tick_clock : ?step_us:float -> unit -> unit
 
 (** Restore the default wall clock. *)

@@ -1,4 +1,4 @@
-(** Fixed-size domain pool.  See pool.mli. *)
+(** Work-conserving domain pool.  See pool.mli. *)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics plumbing                                                    *)
@@ -18,26 +18,41 @@ let set_clock f = clock := f
 let metrics_enabled = ref false
 let set_metrics b = metrics_enabled := b
 
+(* Context switches around a task run while helping inside [await]:
+   one per module that keeps per-domain "current task" state (a metric
+   or finding buffer, a tick clock).  Registered at module
+   initialisation, before any pool exists. *)
+let help_contexts : (unit -> unit -> unit) list ref = ref []
+let add_help_context f = help_contexts := f :: !help_contexts
+
 type worker_stat = {
   w_id : int;
   mutable w_tasks : int;
   mutable w_busy_us : float;
 }
 
-(* The executing worker's stat record; written only by that worker. *)
-let worker_stat_key : worker_stat option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
 type pool_metrics = {
   pm_submitted : int Atomic.t;
   pm_completed : int Atomic.t;
-  pm_inline : int Atomic.t;  (** nested submits run inline on a worker *)
   pm_workers : worker_stat array;
-  pm_m : Mutex.t;  (** guards the two histograms *)
+      (** one slot per worker domain, then the caller slot shared by
+          every non-worker domain that helps inside [await] *)
+  pm_m : Mutex.t;  (** guards the histograms and the caller slot *)
   pm_wait : Histogram.t;  (** queue wait: enqueue -> dequeue, us *)
   pm_run : Histogram.t;  (** task latency: dequeue -> done, us *)
   pm_since_us : float;  (** clock reading at pool creation *)
 }
+
+(* The executing worker's own slot, tagged with its pool's metrics so a
+   worker helping another pool's await records in that pool's caller
+   slot.  Written only by that worker. *)
+let worker_slot : (pool_metrics * worker_stat) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+(* Instrumented tasks on this domain's stack.  A domain that helps
+   inside [await] runs tasks on top of the task it awaits in; only the
+   outermost one adds busy time, so nested tasks are not counted twice. *)
+let task_depth : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 (* ------------------------------------------------------------------ *)
 (* Pool state                                                          *)
@@ -46,8 +61,10 @@ type pool_metrics = {
 type t = {
   n_jobs : int;
   queue : (unit -> unit) Queue.t;
-  m : Mutex.t;
-  wake : Condition.t;  (** queue became non-empty or the pool closed *)
+  m : Mutex.t;  (** guards the queue, [closed], [asleep] and every outcome *)
+  work : Condition.t;  (** workers: queue became non-empty or the pool closed *)
+  settled : Condition.t;  (** awaiters: queue became non-empty or a future resolved *)
+  mutable asleep : int;  (** awaiters waiting on [settled] *)
   mutable closed : bool;
   mutable workers : unit Domain.t list;
   pm : pool_metrics;
@@ -55,19 +72,12 @@ type t = {
 
 let jobs t = t.n_jobs
 
-(* Marks the current domain as a pool worker; submit consults it for the
-   nested-submit deadlock guard. *)
-let worker_flag = Domain.DLS.new_key (fun () -> false)
-
-let inside_worker () = Domain.DLS.get worker_flag
-
-let worker_loop pool i () =
-  Domain.DLS.set worker_flag true;
-  Domain.DLS.set worker_stat_key (Some pool.pm.pm_workers.(i));
+let worker_loop pool slot () =
+  Domain.DLS.set worker_slot (Some (pool.pm, slot));
   let rec next () =
     Mutex.lock pool.m;
     while Queue.is_empty pool.queue && not pool.closed do
-      Condition.wait pool.wake pool.m
+      Condition.wait pool.work pool.m
     done;
     match Queue.take_opt pool.queue with
     | None ->
@@ -82,11 +92,12 @@ let worker_loop pool i () =
 
 let clamp_jobs j = Stdlib.max 1 (Stdlib.min 128 j)
 
+(* [jobs] domains run tasks: [jobs - 1] workers plus the caller, which
+   runs queued tasks whenever it awaits. *)
 let create ~jobs =
   let n_jobs = clamp_jobs jobs in
   let pm =
     { pm_submitted = Atomic.make 0; pm_completed = Atomic.make 0;
-      pm_inline = Atomic.make 0;
       pm_workers =
         Array.init n_jobs (fun i -> { w_id = i; w_tasks = 0; w_busy_us = 0.0 });
       pm_m = Mutex.create (); pm_wait = Histogram.create ();
@@ -94,10 +105,19 @@ let create ~jobs =
   in
   let pool =
     { n_jobs; queue = Queue.create (); m = Mutex.create ();
-      wake = Condition.create (); closed = false; workers = []; pm }
+      work = Condition.create (); settled = Condition.create (); asleep = 0;
+      closed = false; workers = []; pm }
   in
-  pool.workers <- List.init n_jobs (fun i -> Domain.spawn (worker_loop pool i));
+  pool.workers <-
+    List.init (n_jobs - 1) (fun i ->
+        Domain.spawn (worker_loop pool pm.pm_workers.(i)));
   pool
+
+(* Run a queued task on a domain that is awaiting something else. *)
+let help job =
+  (* left in the reverse of the order entered *)
+  let leaves = List.fold_left (fun acc enter -> enter () :: acc) [] !help_contexts in
+  Fun.protect job ~finally:(fun () -> List.iter (fun leave -> leave ()) leaves)
 
 let shutdown pool =
   let workers =
@@ -108,14 +128,23 @@ let shutdown pool =
     end
     else begin
       pool.closed <- true;
-      Condition.broadcast pool.wake;
+      Condition.broadcast pool.work;
       let ws = pool.workers in
       pool.workers <- [];
       Mutex.unlock pool.m;
       ws
     end
   in
-  List.iter Domain.join workers
+  List.iter Domain.join workers;
+  (* Tasks nobody awaited (a jobs=1 pool has no worker to drain them)
+     still run, so every future resolves. *)
+  let rec drain () =
+    Mutex.lock pool.m;
+    let job = Queue.take_opt pool.queue in
+    Mutex.unlock pool.m;
+    Option.iter (fun job -> help job; drain ()) job
+  in
+  drain ()
 
 (* ------------------------------------------------------------------ *)
 (* Futures                                                             *)
@@ -127,9 +156,8 @@ type 'a outcome =
   | Failed of exn * Printexc.raw_backtrace
 
 type 'a future = {
-  fm : Mutex.t;
-  fc : Condition.t;
-  mutable outcome : 'a outcome;
+  pool : t;
+  mutable outcome : 'a outcome;  (** written under [pool.m] *)
 }
 
 let run_into fut f =
@@ -138,10 +166,11 @@ let run_into fut f =
     | v -> Done v
     | exception e -> Failed (e, Printexc.get_raw_backtrace ())
   in
-  Mutex.lock fut.fm;
+  let pool = fut.pool in
+  Mutex.lock pool.m;
   fut.outcome <- outcome;
-  Condition.broadcast fut.fc;
-  Mutex.unlock fut.fm
+  if pool.asleep > 0 then Condition.broadcast pool.settled;
+  Mutex.unlock pool.m
 
 (* All recording happens inside the task, *before* [run_into] resolves
    the future: a caller that awaits every future and then snapshots
@@ -149,71 +178,80 @@ let run_into fut f =
    with the export). *)
 let instrumented pm ~enq_us f () =
   let t0 = !clock () in
+  let depth = Domain.DLS.get task_depth in
+  incr depth;
   Fun.protect f ~finally:(fun () ->
+      decr depth;
       let dt = !clock () -. t0 in
-      (match Domain.DLS.get worker_stat_key with
-       | Some w ->
-         w.w_tasks <- w.w_tasks + 1;
-         w.w_busy_us <- w.w_busy_us +. dt
-       | None -> ());
+      let busy = if !depth = 0 then dt else 0.0 in
+      let tally w =
+        w.w_tasks <- w.w_tasks + 1;
+        w.w_busy_us <- w.w_busy_us +. busy
+      in
+      let own_slot =
+        match Domain.DLS.get worker_slot with
+        | Some (owner, w) when owner == pm -> tally w; true
+        | _ -> false
+      in
       Atomic.incr pm.pm_completed;
       Mutex.lock pm.pm_m;
-      (match enq_us with
-       | Some enq -> Histogram.observe pm.pm_wait (Stdlib.max 0.0 (t0 -. enq))
-       | None -> ());
+      if not own_slot then tally pm.pm_workers.(Array.length pm.pm_workers - 1);
+      Histogram.observe pm.pm_wait (Stdlib.max 0.0 (t0 -. enq_us));
       Histogram.observe pm.pm_run dt;
       Mutex.unlock pm.pm_m)
 
 let submit pool f =
-  let fut = { fm = Mutex.create (); fc = Condition.create (); outcome = Pending } in
-  if inside_worker () then begin
+  let fut = { pool; outcome = Pending } in
+  Mutex.lock pool.m;
+  if pool.closed then begin
+    Mutex.unlock pool.m;
+    invalid_arg "Util.Pool.submit: pool is shut down"
+  end;
+  let job =
     if !metrics_enabled then begin
       let pm = pool.pm in
       Atomic.incr pm.pm_submitted;
-      Atomic.incr pm.pm_inline;
-      run_into fut (instrumented pm ~enq_us:None f)
+      let enq_us = !clock () in
+      fun () -> run_into fut (instrumented pm ~enq_us f)
     end
-    else run_into fut f
-  end
-  else begin
-    Mutex.lock pool.m;
-    if pool.closed then begin
-      Mutex.unlock pool.m;
-      invalid_arg "Util.Pool.submit: pool is shut down"
-    end;
-    let job =
-      if !metrics_enabled then begin
-        let pm = pool.pm in
-        Atomic.incr pm.pm_submitted;
-        let enq_us = !clock () in
-        fun () -> run_into fut (instrumented pm ~enq_us:(Some enq_us) f)
-      end
-      else fun () -> run_into fut f
-    in
-    Queue.add job pool.queue;
-    Condition.signal pool.wake;
-    Mutex.unlock pool.m
-  end;
+    else fun () -> run_into fut f
+  in
+  Queue.add job pool.queue;
+  Condition.signal pool.work;
+  if pool.asleep > 0 then Condition.broadcast pool.settled;
+  Mutex.unlock pool.m;
   fut
 
+(* Work-conserving wait: until the future resolves, run queued tasks,
+   and sleep only when the queue is empty (the task is then running on
+   another domain, which broadcasts [settled] when it resolves). *)
 let await fut =
-  Mutex.lock fut.fm;
-  let rec wait () =
+  let pool = fut.pool in
+  Mutex.lock pool.m;
+  let rec loop () =
     match fut.outcome with
-    | Pending ->
-      Condition.wait fut.fc fut.fm;
-      wait ()
     | Done v ->
-      Mutex.unlock fut.fm;
+      Mutex.unlock pool.m;
       v
     | Failed (e, bt) ->
-      Mutex.unlock fut.fm;
+      Mutex.unlock pool.m;
       Printexc.raise_with_backtrace e bt
+    | Pending ->
+      (match Queue.take_opt pool.queue with
+       | Some job ->
+         Mutex.unlock pool.m;
+         help job;
+         Mutex.lock pool.m
+       | None ->
+         pool.asleep <- pool.asleep + 1;
+         Condition.wait pool.settled pool.m;
+         pool.asleep <- pool.asleep - 1);
+      loop ()
   in
-  wait ()
+  loop ()
 
 (* Await in submission order: the join point of the fan-out/fan-in
-   pattern the pipelined audit uses.  Blocking on an early future while
+   pattern the pipelined audit uses.  Waiting on an early future while
    later ones complete is fine — their outcomes are retained. *)
 let await_all futs = List.map await futs
 
@@ -314,15 +352,17 @@ let stats pool =
   Mutex.lock pm.pm_m;
   let wait = Histogram.copy pm.pm_wait in
   let run = Histogram.copy pm.pm_run in
+  let workers =
+    Array.to_list
+      (Array.map (fun w -> (w.w_id, w.w_tasks, w.w_busy_us)) pm.pm_workers)
+  in
   Mutex.unlock pm.pm_m;
   {
     st_jobs = pool.n_jobs;
     st_submitted = Atomic.get pm.pm_submitted;
     st_completed = Atomic.get pm.pm_completed;
-    st_inline = Atomic.get pm.pm_inline;
-    st_workers =
-      Array.to_list
-        (Array.map (fun w -> (w.w_id, w.w_tasks, w.w_busy_us)) pm.pm_workers);
+    st_inline = 0;
+    st_workers = workers;
     st_queue_wait = wait;
     st_task_run = run;
     st_since_us = pm.pm_since_us;

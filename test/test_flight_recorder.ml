@@ -289,10 +289,9 @@ let test_chrome_trace_golden () =
 
 let restore_jobs = Util.Pool.default_jobs ()
 
-(* The table1 pipeline under [jobs] workers with the tick clock: the
-   work-tier metrics record must come out byte-identical, including
-   every attributed-timing histogram's bucket contents. *)
-let metrics_at ~jobs =
+(* The work-tier metrics record of [workload] run at [jobs] with the
+   tick clock. *)
+let tick_metrics ~jobs workload =
   Util.Pool.set_default_jobs jobs;
   Telemetry.reset ();
   Telemetry.set_enabled true;
@@ -304,15 +303,22 @@ let metrics_at ~jobs =
       Telemetry.set_enabled false;
       Util.Pool.set_default_jobs restore_jobs)
   @@ fun () ->
+  workload ();
+  Telemetry.metrics_json ~runtime:false ()
+
+(* The table1 pipeline under [jobs] domains: the work-tier metrics
+   record must come out byte-identical, including every
+   attributed-timing histogram's bucket contents. *)
+let metrics_at ~jobs =
+  tick_metrics ~jobs @@ fun () ->
   let project =
     Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small
   in
   let parsed = Cfront.Project.parse project in
   let (_ : Misra.Registry.report) = Misra.Registry.run_project parsed in
-  let (_ : Dataflow.Analyses.func_summary list) =
-    Dataflow.Analyses.summarize_functions (Cfront.Project.all_functions parsed)
-  in
-  Telemetry.metrics_json ~runtime:false ()
+  ignore
+    (Dataflow.Analyses.summarize_functions (Cfront.Project.all_functions parsed)
+      : Dataflow.Analyses.func_summary list)
 
 let metrics_oracle = lazy (metrics_at ~jobs:1)
 
@@ -338,6 +344,42 @@ let check_metrics_identical ~jobs =
 
 let test_metrics_jobs2 () = check_metrics_identical ~jobs:2
 let test_metrics_jobs8 () = check_metrics_identical ~jobs:8
+
+(* A timed region that awaits its own fan-out while unrelated timed
+   tasks sit in the queue ahead of that fan-out: at jobs>1 the domain
+   running the region helps with them inside the region.  The region
+   must still measure only its own reads — one tick, as at jobs=1. *)
+let helping_metrics ~jobs =
+  tick_metrics ~jobs @@ fun () ->
+  let spin n =
+    let acc = ref n in
+    for i = 1 to 100_000 do
+      acc := (!acc + i) mod 7919
+    done;
+    !acc
+  in
+  ignore
+    (Telemetry.parallel_map ~chunk_size:1
+       (function
+         | None ->
+           Telemetry.timed "pooltest.region_us" (fun () ->
+               List.fold_left ( + ) 0
+                 (Telemetry.parallel_map ~chunk_size:1 spin (List.init 8 Fun.id)))
+         | Some i -> Telemetry.timed "pooltest.queued_us" (fun () -> spin i))
+       (None :: List.init 16 Option.some)
+      : int list)
+
+let test_helping_keeps_region_ticks () =
+  let oracle = helping_metrics ~jobs:1 in
+  let region = {|"pooltest.region_us":{"count":1,"zeros":0,"sum":1,|} in
+  Alcotest.(check bool) "region measures one tick at jobs=1" true
+    (Util.Strutil.contains_sub ~sub:region oracle);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "work-tier metrics JSON byte-identical at jobs=%d" jobs)
+        oracle (helping_metrics ~jobs))
+    [ 2; 8 ]
 
 let test_runtime_tier_partition () =
   Alcotest.(check bool) "pool. is runtime" true
@@ -382,6 +424,58 @@ let test_pool_stats_balanced () =
       (H.count st.Util.Pool.st_task_run);
     Alcotest.(check int) "worker task counts sum to completed" 50
       (List.fold_left (fun acc (_, n, _) -> acc + n) 0 st.Util.Pool.st_workers)
+
+(* Nested fan-out three deep: every domain runs helped tasks on top of
+   tasks it is awaiting in.  Each slot's busy time must still fit in the
+   wall time the pool has existed (nested tasks are not counted twice),
+   and the caller slot must hold the main domain's helped tasks. *)
+let test_pool_busy_counted_once () =
+  Util.Pool.set_default_jobs 2;
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.set_enabled false;
+      Util.Pool.set_default_jobs restore_jobs)
+  @@ fun () ->
+  match Util.Pool.global () with
+  | None -> Alcotest.fail "expected a pool at jobs=2"
+  | Some pool ->
+    let spin () =
+      let acc = ref 0 in
+      for i = 1 to 50_000 do
+        acc := (!acc + i) mod 7919
+      done;
+      !acc
+    in
+    let rec nest depth x =
+      if depth = 0 then spin () + x
+      else
+        List.fold_left ( + ) 0
+          (Util.Pool.map_chunked ~chunk_size:1 pool (nest (depth - 1))
+             (List.init 4 (fun i -> x + i)))
+    in
+    let (_ : int) = nest 3 0 in
+    let elapsed = Unix.gettimeofday () *. 1e6 in
+    let st =
+      match Util.Pool.global_stats () with
+      | Some st -> st
+      | None -> Alcotest.fail "global_stats lost the live pool"
+    in
+    let elapsed = elapsed -. st.Util.Pool.st_since_us in
+    Alcotest.(check int) "one worker slot plus the caller slot" 2
+      (List.length st.Util.Pool.st_workers);
+    Alcotest.(check int) "slot task counts sum to completed"
+      st.Util.Pool.st_completed
+      (List.fold_left (fun acc (_, n, _) -> acc + n) 0 st.Util.Pool.st_workers);
+    List.iter
+      (fun (id, _, busy) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "slot %d busy %.0f us <= elapsed %.0f us" id busy elapsed)
+          true (busy <= elapsed))
+      st.Util.Pool.st_workers;
+    Alcotest.(check int) "no task ran inline" 0 st.Util.Pool.st_inline
 
 let test_global_stats_no_pool () =
   (* at jobs=1 no pool exists and the exporter must not fabricate one *)
@@ -552,11 +646,15 @@ let () =
             test_metrics_jobs2;
           Alcotest.test_case "metrics identical at jobs=8" `Slow
             test_metrics_jobs8;
+          Alcotest.test_case "helped tasks leave region ticks" `Quick
+            test_helping_keeps_region_ticks;
         ] );
       ( "pool",
         [
           Alcotest.test_case "submitted = completed" `Quick
             test_pool_stats_balanced;
+          Alcotest.test_case "busy time counted once under nesting" `Quick
+            test_pool_busy_counted_once;
           Alcotest.test_case "no stats without a pool" `Quick
             test_global_stats_no_pool;
         ] );

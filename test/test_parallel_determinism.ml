@@ -26,7 +26,7 @@ type run_result = {
   counters : (string * int) list;
 }
 
-(* The whole pipeline under [jobs] worker domains, telemetry on, with a
+(* The whole pipeline under [jobs] domains, telemetry on, with a
    fresh sink so counter attribution can't leak between runs. *)
 let run_pipeline ~jobs =
   Util.Pool.set_default_jobs jobs;

@@ -1,7 +1,8 @@
 (* Tests for the domain pool: order preservation under map_chunked,
-   exception propagation out of workers, the nested-submit deadlock
-   guard, jobs=1 equivalence with the sequential code path, and a
-   stress run of many tiny tasks across several domains. *)
+   exception propagation out of workers, nested fan-out drained by
+   helping awaits, the jobs bound on tasks running at once, jobs=1
+   equivalence with the sequential code path, and a stress run of many
+   tiny tasks across several domains. *)
 
 let with_pool ~jobs f =
   let pool = Util.Pool.create ~jobs in
@@ -80,30 +81,150 @@ let test_map_chunked_raises_first_failure () =
                [ 0; 1; 2; 3; 4 ])))
 
 (* ------------------------------------------------------------------ *)
-(* Nested submit (deadlock guard)                                       *)
+(* Nested submit and helping await                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Every task itself submits to the same pool and awaits the result.
-   Without the run-inline guard a pool with [jobs] workers would
-   deadlock as soon as [jobs] outer tasks block on inner futures that
-   can never be scheduled.  More outer tasks than workers makes the
-   hang deterministic rather than timing-dependent. *)
-let test_nested_submit_does_not_deadlock () =
-  with_pool ~jobs:2 (fun pool ->
-      let outer =
-        Util.Pool.map_chunked ~chunk_size:1 pool
-          (fun x ->
-            Alcotest.(check bool) "task runs on a worker" true
-              (Util.Pool.inside_worker ());
-            let inner = Util.Pool.submit pool (fun () -> x * 2) in
-            Util.Pool.await inner + 1)
-          (List.init 8 (fun i -> i))
+(* Three levels of map_chunked, each task fanning out again and awaiting
+   its children, with more tasks at every level than the pool has
+   domains: only awaits that run queued tasks let this drain. *)
+let test_nested_map_three_deep () =
+  let leaf x = (x * 31) + 7 in
+  let xs = List.init 4 Fun.id in
+  let expected =
+    List.map (fun a ->
+        List.map (fun b -> List.map (fun c -> leaf ((a * 100) + (b * 10) + c)) xs) xs)
+      xs
+  in
+  List.iter
+    (fun jobs ->
+      with_pool ~jobs (fun pool ->
+          let map f = Util.Pool.map_chunked ~chunk_size:1 pool f xs in
+          let got =
+            map (fun a ->
+                map (fun b -> map (fun c -> leaf ((a * 100) + (b * 10) + c))))
+          in
+          Alcotest.(check (list (list (list int))))
+            (Printf.sprintf "jobs=%d nested results" jobs)
+            expected got))
+    [ 2; 8 ]
+
+(* [~jobs:n] bounds the tasks executing at once, the helping caller
+   included.  A task suspended in [await] is not executing, so each task
+   leaves the count around its own awaits; the high-water mark is taken
+   with a CAS loop. *)
+let test_jobs_bounds_concurrency () =
+  List.iter
+    (fun jobs ->
+      let active = Atomic.make 0 in
+      let high = Atomic.make 0 in
+      let enter () =
+        let now = Atomic.fetch_and_add active 1 + 1 in
+        let rec raise_high () =
+          let h = Atomic.get high in
+          if now > h && not (Atomic.compare_and_set high h now) then raise_high ()
+        in
+        raise_high ()
       in
-      Alcotest.(check (list int)) "nested results"
-        (List.init 8 (fun i -> (i * 2) + 1))
-        outer);
-  Alcotest.(check bool) "caller is not a worker" false
-    (Util.Pool.inside_worker ())
+      let leave () = Atomic.decr active in
+      let spin () =
+        let acc = ref 0 in
+        for i = 1 to 20_000 do
+          acc := (!acc + i) mod 7919
+        done;
+        !acc
+      in
+      let task pool depth x =
+        let rec go depth x =
+          enter ();
+          let v = spin () + x in
+          leave ();
+          if depth = 0 then v
+          else
+            let children =
+              Util.Pool.map_chunked ~chunk_size:1 pool (go (depth - 1))
+                (List.init 3 (fun i -> v + i))
+            in
+            enter ();
+            let r = List.fold_left ( + ) 0 children in
+            leave ();
+            r
+        in
+        go depth x
+      in
+      with_pool ~jobs (fun pool ->
+          let (_ : int list) =
+            Util.Pool.map_chunked ~chunk_size:1 pool (task pool 2)
+              (List.init 6 Fun.id)
+          in
+          Alcotest.(check int) (Printf.sprintf "jobs=%d all tasks left" jobs) 0
+            (Atomic.get active);
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: at most %d tasks at once (saw %d)" jobs
+               jobs (Atomic.get high))
+            true
+            (Atomic.get high >= 1 && Atomic.get high <= jobs)))
+    [ 1; 2; 3; 8 ]
+
+exception Helped_boom
+
+(* A task that raises while another domain runs it as help inside an
+   unrelated await re-raises at its own await, with the backtrace of the
+   raise.  With one worker the interleaving is forced: the worker runs
+   [outer], which awaits a child queued behind [failing], so the worker
+   can reach [failing] only by helping; the main domain awaits [failing]
+   only after it has run. *)
+let test_helped_exception_reraises () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  with_pool ~jobs:2 (fun pool ->
+      let main = Domain.self () in
+      let failing_queued = Atomic.make false in
+      let outer_done = Atomic.make false in
+      let ran = Atomic.make None in
+      let raised_bt = ref "" in
+      let outer =
+        Util.Pool.submit pool (fun () ->
+            while not (Atomic.get failing_queued) do
+              Domain.cpu_relax ()
+            done;
+            let child = Util.Pool.submit pool (fun () -> ()) in
+            Util.Pool.await child;
+            Atomic.set outer_done true)
+      in
+      let failing =
+        Util.Pool.submit pool (fun () ->
+            Atomic.set ran (Some (Domain.self (), Atomic.get outer_done));
+            (* backtrace recording is per domain *)
+            Printexc.record_backtrace true;
+            try raise Helped_boom
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              raised_bt := Printexc.raw_backtrace_to_string bt;
+              Printexc.raise_with_backtrace e bt)
+      in
+      Atomic.set failing_queued true;
+      while Atomic.get ran = None do
+        Domain.cpu_relax ()
+      done;
+      (match Atomic.get ran with
+       | Some (d, outer_finished) ->
+         Alcotest.(check bool) "ran on the worker" true (d <> main);
+         Alcotest.(check bool) "ran while the worker's task was awaiting" false
+           outer_finished
+       | None -> assert false);
+      let first_line s = List.hd (String.split_on_char '\n' s) in
+      (match Util.Pool.await failing with
+       | () -> Alcotest.fail "expected Helped_boom"
+       | exception Helped_boom ->
+         let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+         Alcotest.(check bool) "task backtrace recorded" true (!raised_bt <> "");
+         Alcotest.(check string) "await re-raises with the task's backtrace"
+           (first_line !raised_bt) (first_line bt));
+      Util.Pool.await outer;
+      Alcotest.(check int) "pool alive after the failure" 9
+        (Util.Pool.await (Util.Pool.submit pool (fun () -> 9))))
 
 (* Submitting from the main domain while every worker is busy: the
    fan-out pattern of the pipelined audit (phases submitted up front,
@@ -113,7 +234,9 @@ let test_nested_submit_does_not_deadlock () =
    saturation deterministic: the test proceeds only once every worker
    is parked inside a blocker task. *)
 let test_submit_while_saturated () =
-  with_pool ~jobs:2 (fun pool ->
+  let jobs = 3 in
+  let workers = jobs - 1 in
+  with_pool ~jobs (fun pool ->
       let m = Mutex.create () in
       let c = Condition.create () in
       let released = ref false in
@@ -127,26 +250,31 @@ let test_submit_while_saturated () =
         Mutex.unlock m;
         i * 10
       in
-      let blockers = List.init 2 (fun i -> Util.Pool.submit pool (fun () -> gate i)) in
-      (* wait until both workers are provably parked on the gate *)
-      while Atomic.get entered < 2 do
+      let blockers =
+        List.init workers (fun i -> Util.Pool.submit pool (fun () -> gate i))
+      in
+      (* wait until every worker is provably parked on the gate *)
+      while Atomic.get entered < workers do
         Domain.cpu_relax ()
       done;
       (* the pool is saturated; these submissions must queue, not hang
-         the submitter or run inline on the main domain *)
+         the submitter or run at submit time on the main domain *)
+      let started = Atomic.make 0 in
       let futs =
         List.init 50 (fun i ->
             Util.Pool.submit pool (fun () ->
-                Alcotest.(check bool) "queued task runs on a worker" true
-                  (Util.Pool.inside_worker ());
+                Atomic.incr started;
                 i * 3))
       in
+      let started_while_saturated = Atomic.get started in
       Mutex.lock m;
       released := true;
       Condition.broadcast c;
       Mutex.unlock m;
+      Alcotest.(check int) "queued tasks wait for a free domain" 0
+        started_while_saturated;
       Alcotest.(check (list int)) "blocker results in submission order"
-        [ 0; 10 ]
+        (List.init workers (fun i -> i * 10))
         (Util.Pool.await_all blockers);
       Alcotest.(check (list int)) "queued results in submission order"
         (List.init 50 (fun i -> i * 3))
@@ -273,8 +401,12 @@ let () =
         ] );
       ( "nesting",
         [
-          Alcotest.test_case "nested submit runs inline" `Quick
-            test_nested_submit_does_not_deadlock;
+          Alcotest.test_case "nested map_chunked three deep" `Quick
+            test_nested_map_three_deep;
+          Alcotest.test_case "jobs bounds tasks running at once" `Quick
+            test_jobs_bounds_concurrency;
+          Alcotest.test_case "helped task exception re-raised" `Quick
+            test_helped_exception_reraises;
           Alcotest.test_case "submit while saturated does not deadlock" `Quick
             test_submit_while_saturated;
         ] );

@@ -1,5 +1,6 @@
 (* Provenance journal test suite: content-derived id stability, the
-   collect/absorb buffering discipline, canonical export order and
+   collect/absorb buffering discipline (also for a collect whose domain
+   helps with queued tasks while it awaits), canonical export order and
    dedup, id/prefix lookup, the adcheck-evidence/1 JSONL exporter,
    explain rendering with source excerpts, first-covering-scenario
    attribution in the coverage collector, the audit round-trip (every
@@ -74,6 +75,74 @@ let test_collect_absorb () =
   Alcotest.(check int) "dedup by id" 2 (List.length (P.findings ()));
   P.reset ();
   Alcotest.(check int) "reset clears" 0 (List.length (P.findings ()))
+
+(* A [collect] that awaits its own fan-out while tasks that record
+   findings sit in the queue ahead of it.  Every worker is parked, so
+   the collecting domain runs those queued tasks itself while it
+   awaits; their findings must reach the journal, never the buffer of
+   the [collect] they interrupted (a buffer that the dataflow cache
+   stores as one file's artifact). *)
+let check_collect_excludes_helped ~jobs =
+  P.reset ();
+  let pool = Util.Pool.create ~jobs in
+  let m = Mutex.create () in
+  let c = Condition.create () in
+  let released = ref false in
+  let release () =
+    Mutex.lock m;
+    released := true;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Util.Pool.shutdown pool;
+      P.reset ())
+  @@ fun () ->
+  let workers = jobs - 1 in
+  let parked = Atomic.make 0 in
+  let blockers =
+    List.init workers (fun _ ->
+        Util.Pool.submit pool (fun () ->
+            Atomic.incr parked;
+            Mutex.lock m;
+            while not !released do
+              Condition.wait c m
+            done;
+            Mutex.unlock m))
+  in
+  while Atomic.get parked < workers do
+    Domain.cpu_relax ()
+  done;
+  let foreign = List.init 6 (fun i -> mk ~kind:"test" ~analysis:"foreign" (string_of_int i)) in
+  let own = List.init 4 (fun i -> mk ~kind:"test" ~analysis:"own" (string_of_int i)) in
+  let queued =
+    List.map (fun f -> Util.Pool.submit pool (fun () -> P.record f)) foreign
+  in
+  let (), collected =
+    P.collect (fun () ->
+        Util.Pool.await_all
+          (List.map
+             (fun f ->
+               Util.Pool.submit pool (fun () -> snd (P.collect (fun () -> P.record f))))
+             own)
+        |> List.iter P.absorb)
+  in
+  let ids fs = List.map (fun f -> f.P.f_id) fs in
+  Alcotest.(check (list string))
+    (Printf.sprintf "collect holds only its own findings at jobs=%d" jobs)
+    (ids own) (ids collected);
+  release ();
+  ignore (Util.Pool.await_all blockers : unit list);
+  ignore (Util.Pool.await_all queued : unit list);
+  Alcotest.(check (list string))
+    (Printf.sprintf "helped tasks' findings reach the journal at jobs=%d" jobs)
+    (List.sort compare (ids foreign))
+    (List.sort compare (ids (P.findings ())))
+
+let test_collect_excludes_helped () =
+  List.iter (fun jobs -> check_collect_excludes_helped ~jobs) [ 2; 8 ]
 
 let test_canonical_order () =
   P.reset ();
@@ -411,6 +480,55 @@ let check_unwritable ~flag ~what =
 let test_unwritable_evidence () = check_unwritable ~flag:"--evidence" ~what:"evidence journal"
 let test_unwritable_metrics () = check_unwritable ~flag:"--metrics" ~what:"metrics"
 
+(* [check] on a file it cannot parse must not report it as clean: the
+   file is labelled NOT ANALYSED, kept out of the MISRA summary, and the
+   exit status is 1; a clean file alongside it is still analysed. *)
+let test_check_unparsed_fails () =
+  let write contents =
+    let path = Filename.temp_file "adcheck-check" ".c" in
+    at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+    let oc = open_out_bin path in
+    output_string oc contents;
+    close_out oc;
+    path
+  in
+  let good = write "int g(int y) {\n  int z = y + 1;\n  return z;\n}\n" in
+  let bad = write "int f(int x) {\n  if (x > 0 {\n    return 1;\n  }\n" in
+  let run files =
+    let out = Filename.temp_file "adcheck-out" ".txt" in
+    let err = Filename.temp_file "adcheck-err" ".txt" in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Sys.remove out with Sys_error _ -> ());
+        try Sys.remove err with Sys_error _ -> ())
+    @@ fun () ->
+    let rc =
+      Sys.command
+        (Printf.sprintf "%s check %s >%s 2>%s" (Filename.quote adcheck_exe)
+           (String.concat " " (List.map Filename.quote files))
+           (Filename.quote out) (Filename.quote err))
+    in
+    (rc, read_file out, read_file err)
+  in
+  let has sub s = Util.Strutil.contains_sub ~sub s in
+  let rc, out, _ = run [ good ] in
+  Alcotest.(check int) "clean file: exit 0" 0 rc;
+  Alcotest.(check bool) "clean file: MISRA summary" true
+    (has "compliance summary" out);
+  Alcotest.(check bool) "clean file: nothing unanalysed" false
+    (has "NOT ANALYSED" out);
+  let rc, out, err = run [ bad ] in
+  Alcotest.(check int) "unparsed file: exit 1" 1 rc;
+  Alcotest.(check bool) "unparsed file labelled" true (has "NOT ANALYSED" out);
+  Alcotest.(check bool) "no all-zero summary for it" false
+    (has "compliance summary" out);
+  Alcotest.(check bool) "stderr names the gap" true
+    (has "1 file(s) NOT ANALYSED" err);
+  let rc, out, _ = run [ good; bad ] in
+  Alcotest.(check int) "mixed: exit 1" 1 rc;
+  Alcotest.(check bool) "mixed: summary covers the clean file only" true
+    (has "MISRA summary over 1 of 2 file(s)" out)
+
 let () =
   Alcotest.run "provenance"
     [
@@ -423,6 +541,8 @@ let () =
       ( "sink",
         [
           Alcotest.test_case "collect/absorb/dedup" `Quick test_collect_absorb;
+          Alcotest.test_case "collect excludes helped tasks" `Quick
+            test_collect_excludes_helped;
           Alcotest.test_case "canonical export order" `Quick
             test_canonical_order;
           Alcotest.test_case "find by id and prefix" `Quick test_find;
@@ -456,5 +576,7 @@ let () =
             test_unwritable_evidence;
           Alcotest.test_case "unwritable --metrics fails loudly" `Slow
             test_unwritable_metrics;
+          Alcotest.test_case "check fails on unparsed input" `Slow
+            test_check_unparsed_fails;
         ] );
     ]
