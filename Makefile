@@ -1,4 +1,4 @@
-.PHONY: all build test check check-par check-cache bench bench-diff clean
+.PHONY: all build test check check-par check-cache check-task-state bench bench-diff clean
 
 all: build
 
@@ -19,7 +19,7 @@ test:
 # regress at most 50% (wall time on a shared CI box is noisy; the
 # threshold catches step changes, not jitter — see `adcheck bench-diff
 # --help` for the floor that also ignores sub-millisecond drift).
-check: build test check-par check-cache
+check: build test check-par check-cache check-task-state
 	dune build bench/main.exe
 	dune exec bin/adcheck.exe -- dataflow --scale small \
 	  --metrics _build/check-metrics.json
@@ -37,6 +37,24 @@ check: build test check-par check-cache
 	  --out _build/check-bench7.json incremental
 	dune exec bin/adcheck.exe -- bench-diff \
 	  BENCH_7.json _build/check-bench7.json --fail-on-regress 50
+
+# One owner for per-task state: pool tasks record into per-domain state
+# that Util.Pool enters, leaves and merges through each task's future.
+# Only the pool and the two modules registered with
+# Util.Pool.add_task_context (Telemetry, Provenance) may create
+# Domain.DLS keys; a key created anywhere else would be per-task state
+# that helped tasks leak into the task they interrupted.
+check-task-state:
+	@bad=$$(grep -rl --include='*.ml' 'Domain\.DLS\.new_key' lib \
+	  | grep -vxF -e lib/util/pool.ml -e lib/telemetry/telemetry.ml \
+	    -e lib/provenance/provenance.ml); \
+	if [ -n "$$bad" ]; then \
+	  echo "check-task-state: Domain.DLS.new_key outside the task-context owners:"; \
+	  echo "$$bad"; \
+	  echo "Register per-task state with Util.Pool.add_task_context instead:"; \
+	  echo "see the task-context rule in lib/util/pool.mli."; \
+	  exit 1; \
+	fi
 
 # Cache differential gate, end-to-end through the CLI: the same audit
 # three ways — no cache (the jobs=1 oracle), cold against an empty

@@ -63,7 +63,7 @@ let type_names_of_file (f : source_file) =
 
 let scan_type_names (files : source_file list) =
   List.sort_uniq compare
-    (List.concat (Telemetry.parallel_map type_names_of_file files))
+    (List.concat (Util.Pool.parallel_map type_names_of_file files))
 
 (* Cache keys.  A file's parse depends on its path (locations), its
    content, and the project-wide type-name scan; the project key folds
@@ -80,7 +80,7 @@ let file_key parsed (pf : parsed_file) =
        [ pf.file.path; Cache.fnv1a64 pf.file.content; parsed.types_key ])
 
 (* Both the pre-scan and the per-file parse fan out over
-   [Telemetry.parallel_map]: files are independent once the shared type
+   [Util.Pool.parallel_map]: files are independent once the shared type
    names are known, results come back in file order, and at --jobs 1 the
    map *is* List.map, so sequential runs take the exact historical path. *)
 let parse t =
@@ -92,7 +92,7 @@ let parse t =
   in
   let types_key = Cache.fnv1a64 (String.concat "\x00" extra_types) in
   let files =
-    Telemetry.parallel_map
+    Util.Pool.parallel_map
       (fun f ->
         let pf =
           Telemetry.timed "parse.file_us" @@ fun () ->

@@ -710,7 +710,7 @@ let generate ?(seed = 2019) (specs : Apollo_profile.module_spec list) =
         List.mapi (fun i spec -> (i, Util.Rng.split rng, spec)) specs
       in
       let modules =
-        Telemetry.parallel_map ~chunk_size:1
+        Util.Pool.parallel_map ~chunk_size:1
           (fun (module_idx, module_rng, spec) ->
             generate_module ~module_idx module_rng spec)
           tasks

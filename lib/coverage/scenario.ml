@@ -2,11 +2,12 @@
 
     Each scenario owns a fresh {!Interp.env} and {!Collector}, so
     scenarios are independent tasks: {!run_all} fans them out over
-    [Util.Pool] via [Telemetry.parallel_map] (order-preserving, counters
-    merged deterministically) and the caller merges the per-scenario
-    collectors with {!Collector.merge_into} — per-key count sums and
-    MC/DC vector-set unions, both commutative and associative, so merged
-    coverage equals the jobs=1 sequential run byte for byte. *)
+    [Util.Pool] via [Util.Pool.parallel_map] (order-preserving,
+    counters and findings merged deterministically) and the caller
+    merges the per-scenario collectors with {!Collector.merge_into} —
+    per-key count sums and MC/DC vector-set unions, both commutative
+    and associative, so merged coverage equals the jobs=1 sequential
+    run byte for byte. *)
 
 type t = {
   sc_name : string;
@@ -97,8 +98,9 @@ let compile_cache scenarios =
 
 (* chunk_size 1: scenarios are coarse units of work (each replays a whole
    interpreter run), so one task per scenario keeps the pool balanced.
-   Findings a scenario records on a worker come back with its outcome
-   and are absorbed in scenario order. *)
+   Each scenario's counters, spans and findings are recorded whichever
+   domain runs it; the counters and findings merge as its future is
+   awaited, in scenario order. *)
 let run_all ?(engine = Tree) scenarios =
   (* programs are compiled sequentially up front (compilation is pure
      and jobs-independent), then shared across the pool *)
@@ -111,9 +113,9 @@ let run_all ?(engine = Tree) scenarios =
      outcome can only hit when replaying it is byte-identical to
      re-running (fingerprints included).  Hashed once per distinct parse,
      mirroring [compile_cache]'s physical-equality grouping.  The stored
-     value carries the findings the run recorded (coverage runs journal
-     through scoring, not here, but the capture keeps the journal exact
-     if that ever changes). *)
+     value carries the findings the run recorded ([Provenance.memo];
+     coverage runs journal through scoring, not here, but the capture
+     keeps the journal exact if that ever changes). *)
   let outcome_key =
     match Cache.global () with
     | None -> fun _ -> None
@@ -137,20 +139,13 @@ let run_all ?(engine = Tree) scenarios =
                 String.concat "\x00" sc.sc_entries ])
           (List.find_opt (fun (tus, _) -> same_tus tus sc.sc_tus) hashes)
   in
-  List.map
-    (fun (outcome, findings) ->
-      Provenance.absorb findings;
-      outcome)
-    (Telemetry.parallel_map ~chunk_size:1
-       (fun sc ->
-         let cold () =
-           Provenance.collect (fun () -> run_one ~engine ?program:(program_for sc) sc)
-         in
-         match (Cache.global (), outcome_key sc) with
-         | Some c, Some key ->
-           Cache.memo c ~kind:"scenario" ~key cold
-         | _ -> cold ())
-       scenarios)
+  Util.Pool.parallel_map ~chunk_size:1
+    (fun sc ->
+      let run () = run_one ~engine ?program:(program_for sc) sc in
+      match (Cache.global (), outcome_key sc) with
+      | Some c, Some key -> Provenance.memo c ~kind:"scenario" ~key run
+      | _ -> run ())
+    scenarios
 
 let merged_collector outcomes =
   Collector.merge (List.map (fun o -> o.o_collector) outcomes)

@@ -4,7 +4,7 @@
     translation units plus the entry points to drive through them, in
     order, inside one fresh interpreter environment with its own
     {!Collector}.  Because scenarios share no mutable state, {!run_all}
-    fans them out over the worker pool ([Telemetry.parallel_map], so
+    fans them out over the worker pool ([Util.Pool.parallel_map], so
     jobs=1 is literally [List.map] — the sequential oracle) and the
     caller merges the per-scenario collectors.
 

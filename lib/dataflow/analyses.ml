@@ -610,29 +610,19 @@ let summarize_func (fn : Ast.func) =
         s_const_conditions = List.length consts;
       }
 
-let summarize_functions fns =
+(* Each function's CFG + four fixpoint solves is independent; fan out
+   across the domain pool in input order (exact List.map at --jobs 1).
+   Findings recorded in pool tasks merge as their futures are awaited. *)
+let solve_functions fns =
   Telemetry.with_span ~cat:"dataflow" "dataflow"
     ~attrs:[ ("functions", string_of_int (List.length fns)) ]
-    (fun () ->
-      (* Each function's CFG + four fixpoint solves is independent;
-         fan out across the domain pool in input order (exact List.map
-         at --jobs 1).  Findings recorded on workers come back with each
-         function's result and are absorbed in input order, so the
-         journal merge is deterministic. *)
-      let results =
-        Telemetry.parallel_map
-          (fun fn -> Provenance.collect (fun () -> summarize_func fn))
-          fns
-      in
-      let summaries =
-        List.filter_map
-          (fun (summary, findings) ->
-            Provenance.absorb findings;
-            summary)
-          results
-      in
-      Telemetry.add "dataflow.functions" (List.length summaries);
-      summaries)
+    (fun () -> List.filter_map Fun.id (Util.Pool.parallel_map summarize_func fns))
+
+let counted summaries =
+  Telemetry.add "dataflow.functions" (List.length summaries);
+  summaries
+
+let summarize_functions fns = counted (solve_functions fns)
 
 (** [summarize_file ~path ~key fns] is {!summarize_functions} memoized
     in the global artifact cache (when enabled) under the per-file cache
@@ -642,22 +632,13 @@ let summarize_functions fns =
     replays the findings and the evidence journal stays byte-identical
     to a cold run.  [path] owns the artifact for invalidation. *)
 let summarize_file ~path ~key fns =
-  match Cache.global () with
-  | None -> summarize_functions fns
-  | Some c ->
-    let ckey = Cache.key ~kind:"dataflow" [ key ] in
-    (match Cache.find c ~kind:"dataflow" ~key:ckey with
-     | Some ((summaries : func_summary list), findings) ->
-       Provenance.absorb findings;
-       Telemetry.add "dataflow.functions" (List.length summaries);
-       summaries
-     | None ->
-       let summaries, findings =
-         Provenance.collect (fun () -> summarize_functions fns)
-       in
-       Cache.store c ~owner:path ~kind:"dataflow" ~key:ckey (summaries, findings);
-       Provenance.absorb findings;
-       summaries)
+  counted
+    (match Cache.global () with
+     | None -> solve_functions fns
+     | Some c ->
+       Provenance.memo c ~owner:path ~kind:"dataflow"
+         ~key:(Cache.key ~kind:"dataflow" [ key ])
+         (fun () -> solve_functions fns))
 
 type totals = {
   t_functions : int;

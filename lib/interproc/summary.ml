@@ -8,7 +8,7 @@
     callee component) and processed level by level.  Within a level
     every component only reads summaries of strictly lower levels, so
     components of one level are fanned out over the domain pool
-    ({!Telemetry.parallel_map}); at [--jobs 1] that is exactly the
+    ({!Util.Pool.parallel_map}); at [--jobs 1] that is exactly the
     sequential topological walk, which is the oracle every other worker
     count must reproduce bit for bit.
 
@@ -593,7 +593,7 @@ let of_files (files : Project.parsed_file list) =
       List.iter2
         (fun (f : Ast.func) d -> Hashtbl.replace directs (Ast.qualified_name f) d)
         defined
-        (Telemetry.parallel_map (fun f -> direct_facts ~globals f) defined);
+        (Util.Pool.parallel_map (fun f -> direct_facts ~globals f) defined);
       (* phase 2: bottom-up over SCC levels; within a level, components
          are independent (they read only lower-level summaries) *)
       let sccs, _scc_of, _level_of, levels = condense graph in
@@ -602,7 +602,7 @@ let of_files (files : Project.parsed_file list) =
       Array.iteri
         (fun lvl scc_indices ->
           let results =
-            Telemetry.parallel_map ~chunk_size:1
+            Util.Pool.parallel_map ~chunk_size:1
               (fun i ->
                 summarize_scc ~graph ~owner ~params ~directs ~unresolved ~tbl
                   ~scc_index:i ~level:lvl sccs.(i))
@@ -630,7 +630,7 @@ let of_files (files : Project.parsed_file list) =
       in
       let uninit_flows =
         List.concat
-          (Telemetry.parallel_map
+          (Util.Pool.parallel_map
              (fun f ->
                uninit_flows_of_func ~summaries:tbl ~resolve_call:(resolve_for f)
                  f)

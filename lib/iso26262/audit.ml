@@ -141,8 +141,8 @@ let invalidate_against_manifest c (project : Cfront.Project.t) =
    entry state as a guard; at jobs>1 two phases can race on the shared
    counters, in which case the key records a foreign base and the phase
    conservatively recomputes.  Findings recorded inside the phase
-   (coverage-gap findings from scoring) are captured and replayed so the
-   evidence journal stays byte-identical. *)
+   (coverage-gap findings from scoring) are captured and replayed
+   ([Provenance.memo]) so the evidence journal stays byte-identical. *)
 let cached_coverage_phase ~name ~base ~(src_files : (string * string) list) f =
   match Cache.global () with
   | None -> f ()
@@ -157,17 +157,17 @@ let cached_coverage_phase ~name ~base ~(src_files : (string * string) list) f =
                (List.concat_map (fun (p, s) -> [ p; s ]) src_files));
           string_of_int e0; string_of_int s0 ]
     in
-    (match Cache.find c ~kind:"covphase" ~key with
-     | Some (result, findings, d_eids, d_sids) ->
-       Cfront.Parser.reserve_ids ~eids:d_eids ~sids:d_sids;
-       Provenance.absorb findings;
-       result
-     | None ->
-       let result, findings = Provenance.collect f in
-       let e1, s1 = Cfront.Parser.id_state () in
-       Cache.store c ~kind:"covphase" ~key (result, findings, e1 - e0, s1 - s0);
-       Provenance.absorb findings;
-       result)
+    let computed = ref false in
+    let result, d_eids, d_sids =
+      Provenance.memo c ~kind:"covphase" ~key (fun () ->
+          computed := true;
+          let result = f () in
+          let e1, s1 = Cfront.Parser.id_state () in
+          (result, e1 - e0, s1 - s0))
+    in
+    (* a replayed phase parsed nothing: reserve the ids its parse took *)
+    if not !computed then Cfront.Parser.reserve_ids ~eids:d_eids ~sids:d_sids;
+    result
 
 let run_yolo_coverage () =
   let tus = Corpus.Yolo_src.parse_all () in
@@ -286,43 +286,29 @@ let run ?(seed = 2019) ?(specs = Corpus.Apollo_profile.full)
          ([of_parsed_deferred]), and every await runs queued tasks — the
          phases' own fan-outs included — so the main domain is one of
          the pool's [jobs] domains throughout.  Phases only read
-         [parsed] and merge into telemetry counters (mutex-protected
-         sums, so totals are independent of interleaving); spans emitted
-         on workers carry the worker's domain id and overlap in a
-         [--trace] timeline.  GC deltas attribute each worker phase's
-         allocation to its name (quick_stat is per-domain in OCaml 5's
+         [parsed]; their counters and findings merge at the await (sums
+         and a canonically ordered journal, so totals are independent of
+         interleaving), and spans emitted on workers carry the worker's
+         domain id and overlap in a [--trace] timeline.  GC deltas
+         attribute each worker phase's allocation to its name (quick_stat is per-domain in OCaml 5's
          minor-heap counters, per-process in the major ones — a pragmatic
          attribution, flagged runtime-tier for exactly that reason). *)
-      (* Each future's findings come back with its result ([collect] on
-         the worker) and are absorbed at the await; the journal's
-         canonical export order makes the different await orders at
-         different jobs values invisible. *)
-      let submit_collected name f =
-        Util.Pool.submit pool (fun () ->
-            Provenance.collect (fun () -> Telemetry.gc_phase name f))
-      in
-      let await_absorb fut =
-        let result, findings = Util.Pool.await fut in
-        Provenance.absorb findings;
-        result
-      in
+      let submit name f = Util.Pool.submit pool (fun () -> Telemetry.gc_phase name f) in
       let f_misra =
-        submit_collected "misra" (fun () ->
-            Project_metrics.misra_of_parsed parsed)
+        submit "misra" (fun () -> Project_metrics.misra_of_parsed parsed)
       in
       let f_dataflow =
-        submit_collected "dataflow" (fun () ->
-            Project_metrics.module_dataflow_of_parsed parsed)
+        submit "dataflow" (fun () -> Project_metrics.module_dataflow_of_parsed parsed)
       in
-      let f_yolo = submit_collected "coverage.yolo" yolo_phase in
-      let f_stencil = submit_collected "coverage.stencil" stencil_phase in
+      let f_yolo = submit "coverage.yolo" yolo_phase in
+      let f_stencil = submit "coverage.stencil" stencil_phase in
       let metrics =
         Telemetry.gc_phase "metrics" (fun () ->
             Project_metrics.of_parsed_deferred
-              ~misra:(fun () -> await_absorb f_misra)
-              ~module_dataflow:(fun () -> await_absorb f_dataflow) parsed)
+              ~misra:(fun () -> Util.Pool.await f_misra)
+              ~module_dataflow:(fun () -> Util.Pool.await f_dataflow) parsed)
       in
-      (metrics, await_absorb f_yolo, await_absorb f_stencil)
+      (metrics, Util.Pool.await f_yolo, Util.Pool.await f_stencil)
   in
   (match yolo_exit with
    | Ok _ -> ()

@@ -88,17 +88,18 @@ let run ?(rules = all_rules) ?(deviations = []) ?cache_key ctx =
       (* One task per rule (costs vary by orders of magnitude, so no
          chunking); the context is shared read-only across domains and
          results come back in registration order, making the report
-         identical at every --jobs value.  At --jobs 1 this is List.map,
-         per-rule spans included. *)
+         identical at every --jobs value.  At --jobs 1 this is List.map;
+         at every jobs value each rule records its span on the domain
+         that runs it. *)
       let per_rule =
-        Telemetry.parallel_map ~chunk_size:1
+        Util.Pool.parallel_map ~chunk_size:1
           (fun (r : Rule.t) ->
             let vs =
               Telemetry.with_span ~cat:"misra" ("misra.rule." ^ r.Rule.id)
                 (fun () ->
-                  (* timed region innermost so the measured ticks are the
-                     same whether the span is live (jobs=1) or suppressed
-                     on a worker (jobs>1) *)
+                  (* timed region innermost (inside the span), so it
+                     measures only the rule's own clock reads at every
+                     --jobs value *)
                   Telemetry.timed ("misra.rule_us." ^ r.Rule.id)
                     (fun () ->
                       (* Per-rule artifact, keyed by rule id + the

@@ -82,22 +82,10 @@ let locked f =
 
 let global_rev : finding list ref = ref []
 
-(* Per-domain buffer, installed by [collect] around pool-worker task
-   bodies so recording never contends on the global mutex and the
-   orchestrator controls merge order (submission order), exactly like
-   the telemetry counter buffers. *)
+(* The buffer of the innermost [collect] or pool task running on this
+   domain, if any: recording never contends on the global mutex. *)
 let local_buf : finding list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
-
-(* A task that a domain runs while helping inside [Util.Pool.await]
-   records as it would at a worker's top level, never into the buffer
-   of the [collect] it interrupted: that buffer may end up in a cached
-   artifact of other code. *)
-let () =
-  Util.Pool.add_help_context (fun () ->
-      let buf = Domain.DLS.get local_buf in
-      Domain.DLS.set local_buf None;
-      fun () -> Domain.DLS.set local_buf buf)
 
 let record f =
   Telemetry.incr ("provenance.findings." ^ f.f_kind);
@@ -105,23 +93,51 @@ let record f =
   | Some buf -> buf := f :: !buf
   | None -> locked (fun () -> global_rev := f :: !global_rev)
 
-let collect f =
+let absorb fs =
+  match Domain.DLS.get local_buf with
+  | Some buf -> buf := List.rev_append fs !buf
+  | None -> locked (fun () -> global_rev := List.rev_append fs !global_rev)
+
+(* Install a fresh buffer; the returned function restores the previous
+   one and yields the buffered findings in record order. *)
+let enter_buffer () =
   let prev = Domain.DLS.get local_buf in
   let buf = ref [] in
   Domain.DLS.set local_buf (Some buf);
-  let finish () = Domain.DLS.set local_buf prev in
+  fun () ->
+    Domain.DLS.set local_buf prev;
+    List.rev !buf
+
+let collect f =
+  let leave = enter_buffer () in
   match f () with
-  | v ->
-    finish ();
-    (v, List.rev !buf)
+  | v -> (v, leave ())
   | exception e ->
-    finish ();
+    ignore (leave () : finding list);
     raise e
 
-let absorb fs =
-  match Domain.DLS.get local_buf with
-  | Some buf -> List.iter (fun f -> buf := f :: !buf) fs
-  | None -> locked (fun () -> List.iter (fun f -> global_rev := f :: !global_rev) fs)
+(* The provenance task context: every pool task records into a buffer
+   of its own, never into the [collect] it interrupted (that buffer may
+   end up in a cached artifact of other code), and its findings reach
+   the awaiting domain's active sink when its future is first
+   awaited. *)
+let () =
+  Util.Pool.add_task_context (fun () ->
+      let leave = enter_buffer () in
+      fun () ->
+        let fs = leave () in
+        fun () -> absorb fs)
+
+let memo c ?owner ~kind ~key f =
+  match Cache.find c ~kind ~key with
+  | Some (v, fs) ->
+    absorb fs;
+    v
+  | None ->
+    let v, fs = collect f in
+    Cache.store c ?owner ~kind ~key (v, fs);
+    absorb fs;
+    v
 
 let reset () = locked (fun () -> global_rev := [])
 

@@ -13,15 +13,17 @@
 
     {b Determinism.}  The journal is part of the work tier: its exported
     bytes must be identical at every [--jobs] value.  Two mechanisms
-    guarantee that.  First, analyses running on pool workers record into
-    a per-domain buffer ({!collect}) that the orchestrator absorbs in
-    submission order ({!absorb}) — the same discipline PR 3/4/7 applied
-    to telemetry counters and histograms.  Second, {!findings} returns
-    the journal in a canonical order (sorted by content, deduplicated by
-    id), so even entries recorded outside any buffer (for example by a
-    pipelined audit phase) cannot perturb the export.  Recording the
-    same finding twice is harmless by construction: equal content means
-    equal id, and the journal deduplicates. *)
+    guarantee that.  First, every pool task records into a buffer of its
+    own, registered once as a task context
+    ({!Util.Pool.add_task_context}, the same rule the telemetry counters
+    and histograms follow), and the first await of the task's future
+    merges the buffer into the awaiting domain's active sink; a task
+    never records into the buffer of a task it interrupted.  Second,
+    {!findings} returns the journal in a canonical order (sorted by
+    content, deduplicated by id), so the order in which futures are
+    awaited cannot perturb the export.  Recording the same finding twice
+    is harmless by construction: equal content means equal id, and the
+    journal deduplicates. *)
 
 (** One link of a witness chain: a labelled fact, optionally anchored to
     a source location. *)
@@ -60,20 +62,32 @@ val make :
 (* The journal sink                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Append to the journal (the active per-domain buffer when one is
-    installed, the process-global sink otherwise).  Also bumps the
-    ["provenance.findings.<kind>"] telemetry counter. *)
+(** Append to the journal (the buffer of the innermost {!collect} or
+    pool task running on this domain, the process-global sink
+    otherwise).  Also bumps the ["provenance.findings.<kind>"]
+    telemetry counter. *)
 val record : finding -> unit
 
 (** [collect f] runs [f] with a fresh per-domain buffer installed and
-    returns its findings in record order, without touching the global
-    sink — the worker-side half of the deterministic merge.  Buffers
-    nest: an inner [collect] shadows the outer one. *)
+    returns its findings in record order, without touching the active
+    sink.  Buffers nest: an inner [collect] shadows the outer one, and
+    the findings of pool tasks that [f] submits and awaits merge into
+    it.  Parallel work needs no [collect]: pool tasks merge through
+    their futures. *)
 val collect : (unit -> 'a) -> 'a * finding list
 
 (** Feed collected findings into the active sink (outer buffer or the
-    global journal), in order — the orchestrator-side half. *)
+    global journal), in order. *)
 val absorb : finding list -> unit
+
+(** [memo c ?owner ~kind ~key f] is {!Cache.memo} for a computation
+    that records findings: a miss runs [f] under {!collect} and stores
+    the result together with its findings; a hit replays the stored
+    findings.  Either way the findings reach the active sink, so the
+    evidence journal is byte-identical whether the value was computed
+    or replayed.  The stored payload is [(value, findings)]. *)
+val memo :
+  Cache.t -> ?owner:string -> kind:string -> key:string -> (unit -> 'a) -> 'a
 
 (** Clear the global journal (buffers are unaffected). *)
 val reset : unit -> unit

@@ -14,11 +14,9 @@ let clock = ref wall_clock
 
 (* Spans read a clock of their own.  Under the wall clock the two are
    the same source; under the tick clock they are independent streams,
-   because span creation is conditional on the domain (suppressed while
-   a worker buffers metrics): if span bookkeeping consumed work-tier
-   ticks, a timed region whose body opens a span would measure three
-   ticks sequentially and one tick on a worker — exactly the
-   jobs-dependence the tick clock exists to rule out. *)
+   so span bookkeeping never consumes work-tier ticks: adding or
+   removing a span leaves every timed region's measurement, and so the
+   work-tier record, unchanged. *)
 let span_clock = ref wall_clock
 
 let now_us () = !clock ()
@@ -102,10 +100,11 @@ let locked f =
 
 let on = ref false
 let events_rev : event list ref = ref []
-let open_depth = ref 0
-let counters_tbl : (string, int) Hashtbl.t = Hashtbl.create 64
+
+(* Spans open on this domain: spans that overlap on two domains nest
+   only within their own domain. *)
+let open_depth : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let gauges_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
-let hists_tbl : (string, Util.Histogram.t) Hashtbl.t = Hashtbl.create 32
 
 (** GC cost per named phase (deltas of [Gc.quick_stat] around the
     phase body), summed when a phase repeats. *)
@@ -120,36 +119,62 @@ type gc_delta = {
 
 let gc_tbl : (string, gc_delta) Hashtbl.t = Hashtbl.create 16
 
-(* Per-domain metric buffer.  When a buffer is installed (pool workers
-   running under [collect_metrics]) counter adds and histogram samples
-   go to the buffer without touching the global mutex, and span creation
-   is suppressed — the caller merges buffers deterministically in
-   submission order (counter merge is integer addition, histogram merge
-   is per-bucket addition; both commutative and associative, so merged
-   state is identical to the sequential run).  Buffers nest: an inner
-   [collect_metrics] shadows the outer one and [absorb_metrics] feeds
-   whichever sink is active. *)
-type buffer = {
-  buf_counters : (string, int) Hashtbl.t;
-  buf_hists : (string, Util.Histogram.t) Hashtbl.t;
+(* A counter/histogram sink: the global one (guarded by [lock]) or a
+   pool task's own buffer. *)
+type sink = {
+  counters_tbl : (string, int) Hashtbl.t;
+  hists_tbl : (string, Util.Histogram.t) Hashtbl.t;
 }
 
-let local_buf : buffer option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let global = { counters_tbl = Hashtbl.create 64; hists_tbl = Hashtbl.create 32 }
 
-(* A task that a domain runs while helping inside [Util.Pool.await] runs
-   as it would at a worker's top level: no metric buffer of the task it
-   interrupts, and its clock reads rewound afterwards, so the timed
-   region the domain is awaiting in measures only its own reads — the
-   same ticks whichever tasks the domain happened to help with. *)
+(* The running pool task's buffer, if any: its counter adds and
+   histogram samples go there without touching the global mutex. *)
+let local_buf : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(* Apply [f] to the active sink: the running task's buffer, else the
+   global sink under its lock. *)
+let into_sink f =
+  match Domain.DLS.get local_buf with
+  | Some b -> f b
+  | None -> locked (fun () -> f global)
+
+let bump tbl name by =
+  Hashtbl.replace tbl name
+    (by + Option.value ~default:0 (Hashtbl.find_opt tbl name))
+
+let hist_of tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some h -> h
+  | None ->
+    let h = Util.Histogram.create () in
+    Hashtbl.add tbl name h;
+    h
+
+(* The telemetry task context: every pool task records into a buffer of
+   its own, merged into the awaiting domain's active sink when its
+   future is first awaited (counter merge is integer addition,
+   histogram merge per-bucket addition — commutative and associative,
+   so the merged state equals the sequential run's).  The task's work
+   ticks are rewound afterwards, so a timed region whose domain helps
+   with queued tasks while it awaits measures only its own reads. *)
 let () =
-  Util.Pool.add_help_context (fun () ->
-      let buf = Domain.DLS.get local_buf in
-      Domain.DLS.set local_buf None;
+  Util.Pool.add_task_context (fun () ->
+      let prev = Domain.DLS.get local_buf in
+      let buf = { counters_tbl = Hashtbl.create 16; hists_tbl = Hashtbl.create 8 } in
+      Domain.DLS.set local_buf (Some buf);
       let restore_ticks = !save_work_ticks () in
       fun () ->
         restore_ticks ();
-        Domain.DLS.set local_buf buf)
+        Domain.DLS.set local_buf prev;
+        fun () ->
+          if Hashtbl.length buf.counters_tbl + Hashtbl.length buf.hists_tbl > 0 then
+            into_sink (fun into ->
+                Hashtbl.iter (bump into.counters_tbl) buf.counters_tbl;
+                Hashtbl.iter
+                  (fun name h ->
+                    Util.Histogram.merge_into ~into:(hist_of into.hists_tbl name) h)
+                  buf.hists_tbl))
 
 let set_enabled b =
   on := b;
@@ -162,10 +187,10 @@ let enabled () = !on
 let reset () =
   locked (fun () ->
       events_rev := [];
-      open_depth := 0;
-      Hashtbl.reset counters_tbl;
+      Domain.DLS.get open_depth := 0;
+      Hashtbl.reset global.counters_tbl;
       Hashtbl.reset gauges_tbl;
-      Hashtbl.reset hists_tbl;
+      Hashtbl.reset global.hists_tbl;
       Hashtbl.reset gc_tbl)
 
 (* ------------------------------------------------------------------ *)
@@ -177,16 +202,17 @@ let inert_span =
     sp_attrs = []; sp_closed = true }
 
 let start_span ?(cat = "adcheck") ?(attrs = []) name =
-  if (not !on) || Domain.DLS.get local_buf <> None then inert_span
-  else
-    locked (fun () ->
-        let sp =
-          { sp_name = name; sp_cat = cat; sp_start_us = span_now_us ();
-            sp_depth = !open_depth; sp_tid = (Domain.self () :> int);
-            sp_attrs = attrs; sp_closed = false }
-        in
-        incr open_depth;
-        sp)
+  if not !on then inert_span
+  else begin
+    let depth = Domain.DLS.get open_depth in
+    let sp =
+      { sp_name = name; sp_cat = cat; sp_start_us = span_now_us ();
+        sp_depth = !depth; sp_tid = (Domain.self () :> int);
+        sp_attrs = attrs; sp_closed = false }
+    in
+    incr depth;
+    sp
+  end
 
 let add_attr sp k v = if not sp.sp_closed then sp.sp_attrs <- sp.sp_attrs @ [ (k, v) ]
 
@@ -194,7 +220,8 @@ let end_span ?(attrs = []) sp =
   if not sp.sp_closed then
     locked (fun () ->
         sp.sp_closed <- true;
-        open_depth := Stdlib.max 0 (!open_depth - 1);
+        let depth = Domain.DLS.get open_depth in
+        depth := Stdlib.max 0 (!depth - 1);
         let stop = span_now_us () in
         events_rev :=
           { ev_name = sp.sp_name; ev_cat = sp.sp_cat;
@@ -215,15 +242,7 @@ let with_span ?cat ?attrs name f =
 (* Counters and gauges                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let bump tbl name by =
-  Hashtbl.replace tbl name
-    (by + Option.value ~default:0 (Hashtbl.find_opt tbl name))
-
-let add name by =
-  if !on && by <> 0 then
-    match Domain.DLS.get local_buf with
-    | Some b -> bump b.buf_counters name by
-    | None -> locked (fun () -> bump counters_tbl name by)
+let add name by = if !on && by <> 0 then into_sink (fun s -> bump s.counters_tbl name by)
 
 let incr ?(by = 1) name = add name by
 
@@ -240,19 +259,8 @@ let max_gauge name v =
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let hist_of tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some h -> h
-  | None ->
-    let h = Util.Histogram.create () in
-    Hashtbl.add tbl name h;
-    h
-
 let observe name v =
-  if !on then
-    match Domain.DLS.get local_buf with
-    | Some b -> Util.Histogram.observe (hist_of b.buf_hists name) v
-    | None -> locked (fun () -> Util.Histogram.observe (hist_of hists_tbl name) v)
+  if !on then into_sink (fun s -> Util.Histogram.observe (hist_of s.hists_tbl name) v)
 
 let timed name f =
   if not !on then f ()
@@ -303,58 +311,6 @@ let gc_phase name f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain aggregation and the parallel map veneer                  *)
-(* ------------------------------------------------------------------ *)
-
-type batch = {
-  batch_counters : (string * int) list;
-  batch_hists : (string * Util.Histogram.t) list;
-}
-
-let collect_metrics f =
-  let prev = Domain.DLS.get local_buf in
-  let buf = { buf_counters = Hashtbl.create 32; buf_hists = Hashtbl.create 8 } in
-  Domain.DLS.set local_buf (Some buf);
-  let finish () = Domain.DLS.set local_buf prev in
-  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
-  match f () with
-  | v ->
-    finish ();
-    (v, { batch_counters = sorted buf.buf_counters;
-          batch_hists = sorted buf.buf_hists })
-  | exception e ->
-    finish ();
-    raise e
-
-let absorb_metrics b =
-  List.iter (fun (k, n) -> add k n) b.batch_counters;
-  if !on then
-    List.iter
-      (fun (name, h) ->
-        match Domain.DLS.get local_buf with
-        | Some buf ->
-          Util.Histogram.merge_into ~into:(hist_of buf.buf_hists name) h
-        | None ->
-          locked (fun () ->
-              Util.Histogram.merge_into ~into:(hist_of hists_tbl name) h))
-      b.batch_hists
-
-let parallel_map ?chunk_size f xs =
-  match Util.Pool.global () with
-  | None -> List.map f xs
-  | Some pool ->
-    let tagged =
-      Util.Pool.map_chunked ?chunk_size pool
-        (fun x -> collect_metrics (fun () -> f x))
-        xs
-    in
-    List.map
-      (fun (y, batch) ->
-        absorb_metrics batch;
-        y)
-      tagged
-
-(* ------------------------------------------------------------------ *)
 (* Reading the sink                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -367,11 +323,11 @@ let events () =
     evs
 
 let counter name =
-  locked (fun () -> Option.value ~default:0 (Hashtbl.find_opt counters_tbl name))
+  locked (fun () -> Option.value ~default:0 (Hashtbl.find_opt global.counters_tbl name))
 
 let counters () =
   locked (fun () ->
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters_tbl []))
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) global.counters_tbl []))
 
 type counter_snapshot = (string * int) list
 
@@ -393,10 +349,10 @@ let histograms () =
       List.sort compare
         (Hashtbl.fold
            (fun k h acc -> (k, Util.Histogram.copy h) :: acc)
-           hists_tbl []))
+           global.hists_tbl []))
 
 let histogram name =
-  locked (fun () -> Option.map Util.Histogram.copy (Hashtbl.find_opt hists_tbl name))
+  locked (fun () -> Option.map Util.Histogram.copy (Hashtbl.find_opt global.hists_tbl name))
 
 let gc_phases () =
   locked (fun () ->
@@ -404,7 +360,7 @@ let gc_phases () =
 
 (* Runtime-tier metric names: legitimately dependent on --jobs and
    scheduling (worker placement, queue waits, GC pressure, phase wall
-   time under span suppression).  Everything else is work-tier and must
+   time).  Everything else is work-tier and must
    be byte-identical across jobs under the tick clock — the differential
    tests compare [metrics_json ~runtime:false] outputs directly. *)
 let is_runtime_metric name =

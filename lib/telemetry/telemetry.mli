@@ -39,13 +39,12 @@ val set_clock : (unit -> float) -> unit
     own tick counter makes a timed region's duration a pure function of
     the clock reads inside the region on its own domain, so
     attributed-timing histogram samples are identical at every [--jobs]
-    value.  Spans get an independent tick stream: span creation is
-    suppressed on buffering workers, so if spans consumed work-tier
-    ticks, a timed body that opens a span would measure differently
-    sequentially than on a worker.  A task that a domain runs while it
-    helps inside {!Util.Pool.await} has its work ticks rewound
-    afterwards, so a region awaiting a fan-out never counts the reads
-    of whatever queued tasks its domain happened to help with. *)
+    value.  Spans get an independent tick stream, so adding or removing
+    a span never changes what a timed region measures.  Every pool task
+    has its work ticks rewound afterwards (the telemetry task context,
+    see {!Util.Pool.add_task_context}), so a region awaiting a fan-out
+    never counts the reads of whatever queued tasks its domain happened
+    to help with. *)
 val install_tick_clock : ?step_us:float -> unit -> unit
 
 (** Restore the default wall clock. *)
@@ -100,10 +99,10 @@ val max_gauge : string -> float -> unit
 (* Histograms and attributed timing                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Record a sample into the named {!Util.Histogram} (buffered on the
-    active per-domain collection when one is installed, else the global
-    sink).  Use integer-valued samples for work-tier metrics so the
-    float [sum] stays exact under any merge association. *)
+(** Record a sample into the named {!Util.Histogram} (buffered in the
+    running pool task's own sink, else the global sink).  Use
+    integer-valued samples for work-tier metrics so the float [sum]
+    stays exact under any merge association. *)
 val observe : string -> float -> unit
 
 (** [timed name f] runs [f] and records its duration (microseconds from
@@ -128,8 +127,7 @@ type gc_delta = {
 (** [gc_phase name f] runs [f], accumulating its GC delta under [name]
     and its wall time as a ["phase.<name>_us"] histogram sample.  Both
     are runtime-tier (excluded from the cross-jobs oracle): phase wall
-    time differs between the sequential path (spans read the clock) and
-    the pooled path (spans suppressed on workers). *)
+    time depends on how the phases overlap on the pool's domains. *)
 val gc_phase : string -> (unit -> 'a) -> 'a
 
 (** Recorded GC phases, sorted by name. *)
@@ -147,43 +145,6 @@ val histogram : string -> Util.Histogram.t option
 val is_runtime_metric : string -> bool
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain aggregation and parallel mapping                         *)
-(* ------------------------------------------------------------------ *)
-
-(** Metrics collected on one domain: counters and histograms, each
-    sorted by name.  Counter merge is integer addition and histogram
-    merge is per-bucket addition — both commutative and associative, so
-    absorbing batches in submission order reproduces the sequential
-    sink state exactly. *)
-type batch = {
-  batch_counters : (string * int) list;
-  batch_hists : (string * Util.Histogram.t) list;
-}
-
-(** [collect_metrics f] runs [f] with counter increments and histogram
-    samples redirected to a fresh per-domain buffer (no global-sink
-    mutex traffic) and returns the buffered batch alongside [f]'s
-    result.  While the buffer is active span creation is suppressed —
-    worker domains contribute counters and samples only, keeping the
-    event list a single-domain record.  Nests: an inner collection
-    shadows the outer one, and {!absorb_metrics} feeds whichever sink
-    is active. *)
-val collect_metrics : (unit -> 'a) -> 'a * batch
-
-(** Merge a collected batch into the active sink (the global one, or
-    the enclosing collection buffer). *)
-val absorb_metrics : batch -> unit
-
-(** Order-preserving parallel map over {!Util.Pool.global}.  Each
-    element's counters and histogram samples are buffered on its worker
-    domain via {!collect_metrics} and merged on the calling domain in
-    input order, so the final sink state is identical to a sequential
-    run.  When the pool default is 1 job this *is* [List.map f xs] —
-    the exact sequential oracle the differential tests compare
-    against. *)
-val parallel_map : ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(* ------------------------------------------------------------------ *)
 (* Reading the sink                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -192,12 +153,16 @@ type event = {
   ev_cat : string;
   ev_start_us : float;
   ev_dur_us : float;
-  ev_depth : int;  (** nesting depth at the time the span opened *)
+  ev_depth : int;
+      (** spans open on the same domain when this one opened: depth
+          counts per domain, so spans that overlap on two domains never
+          inflate each other's depth *)
   ev_tid : int;
-      (** domain id the span ran on — the pipelined audit phases record
-          their spans from worker domains, so a Chrome trace of a
-          [--jobs N] run shows the phases on separate rows, overlapping
-          in time *)
+      (** domain id the span ran on.  Every span is recorded, whichever
+          domain runs it, so a [--jobs N] trace holds the same spans as
+          a [--jobs 1] trace; the pipelined audit phases and the
+          per-rule, per-file and per-scenario tasks show on their
+          domains' rows, overlapping in time *)
   ev_attrs : attr list;
 }
 

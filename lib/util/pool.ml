@@ -18,12 +18,12 @@ let set_clock f = clock := f
 let metrics_enabled = ref false
 let set_metrics b = metrics_enabled := b
 
-(* Context switches around a task run while helping inside [await]:
-   one per module that keeps per-domain "current task" state (a metric
-   or finding buffer, a tick clock).  Registered at module
-   initialisation, before any pool exists. *)
-let help_contexts : (unit -> unit -> unit) list ref = ref []
-let add_help_context f = help_contexts := f :: !help_contexts
+(* Per-task state switches, one per module that keeps per-domain
+   "current task" state in [Domain.DLS] (a metric or finding buffer, a
+   tick clock).  Registered at module initialisation, before any pool
+   exists. *)
+let task_contexts : (unit -> unit -> unit -> unit) list ref = ref []
+let add_task_context enter = task_contexts := enter :: !task_contexts
 
 type worker_stat = {
   w_id : int;
@@ -113,12 +113,6 @@ let create ~jobs =
         Domain.spawn (worker_loop pool pm.pm_workers.(i)));
   pool
 
-(* Run a queued task on a domain that is awaiting something else. *)
-let help job =
-  (* left in the reverse of the order entered *)
-  let leaves = List.fold_left (fun acc enter -> enter () :: acc) [] !help_contexts in
-  Fun.protect job ~finally:(fun () -> List.iter (fun leave -> leave ()) leaves)
-
 let shutdown pool =
   let workers =
     Mutex.lock pool.m;
@@ -142,7 +136,7 @@ let shutdown pool =
     Mutex.lock pool.m;
     let job = Queue.take_opt pool.queue in
     Mutex.unlock pool.m;
-    Option.iter (fun job -> help job; drain ()) job
+    Option.iter (fun job -> job (); drain ()) job
   in
   drain ()
 
@@ -158,17 +152,27 @@ type 'a outcome =
 type 'a future = {
   pool : t;
   mutable outcome : 'a outcome;  (** written under [pool.m] *)
+  mutable merges : (unit -> unit) list;
+      (** the task's records, left for the first [await]; under [pool.m] *)
 }
 
+(* Every task runs inside a fresh context of each registered module,
+   wherever it runs: at a worker's top level or helped inside an
+   [await].  Leaving the contexts (in the reverse of the order entered)
+   restores the interrupted state and yields the merges that hand the
+   task's records to its future. *)
 let run_into fut f =
+  let leaves = List.fold_left (fun acc enter -> enter () :: acc) [] !task_contexts in
   let outcome =
     match f () with
     | v -> Done v
     | exception e -> Failed (e, Printexc.get_raw_backtrace ())
   in
+  let merges = List.map (fun leave -> leave ()) leaves in
   let pool = fut.pool in
   Mutex.lock pool.m;
   fut.outcome <- outcome;
+  fut.merges <- merges;
   if pool.asleep > 0 then Condition.broadcast pool.settled;
   Mutex.unlock pool.m
 
@@ -201,7 +205,7 @@ let instrumented pm ~enq_us f () =
       Mutex.unlock pm.pm_m)
 
 let submit pool f =
-  let fut = { pool; outcome = Pending } in
+  let fut = { pool; outcome = Pending; merges = [] } in
   Mutex.lock pool.m;
   if pool.closed then begin
     Mutex.unlock pool.m;
@@ -222,6 +226,15 @@ let submit pool f =
   Mutex.unlock pool.m;
   fut
 
+(* Hand a resolved future's records to the sink active on the awaiting
+   domain, once: later awaits find the list empty.  Called with
+   [pool.m] held; releases it. *)
+let merge_resolved fut =
+  let merges = fut.merges in
+  fut.merges <- [];
+  Mutex.unlock fut.pool.m;
+  List.iter (fun merge -> merge ()) merges
+
 (* Work-conserving wait: until the future resolves, run queued tasks,
    and sleep only when the queue is empty (the task is then running on
    another domain, which broadcasts [settled] when it resolves). *)
@@ -231,16 +244,16 @@ let await fut =
   let rec loop () =
     match fut.outcome with
     | Done v ->
-      Mutex.unlock pool.m;
+      merge_resolved fut;
       v
     | Failed (e, bt) ->
-      Mutex.unlock pool.m;
+      merge_resolved fut;
       Printexc.raise_with_backtrace e bt
     | Pending ->
       (match Queue.take_opt pool.queue with
        | Some job ->
          Mutex.unlock pool.m;
-         help job;
+         job ();
          Mutex.lock pool.m
        | None ->
          pool.asleep <- pool.asleep + 1;
@@ -331,6 +344,11 @@ let global () =
       let pool = create ~jobs:(default_jobs ()) in
       global_pool := Some pool;
       Some pool
+
+let parallel_map ?chunk_size f xs =
+  match global () with
+  | None -> List.map f xs
+  | Some pool -> map_chunked ?chunk_size pool f xs
 
 (* ------------------------------------------------------------------ *)
 (* Metrics snapshot                                                    *)

@@ -16,13 +16,21 @@
     future from inside a task could find that sibling suspended beneath
     the awaiting task on the same domain.
 
+    Every task runs in its own {e task context}: each module that keeps
+    per-domain "current task" state registers it once with
+    {!add_task_context}, every task records into fresh state of its
+    own wherever it runs, and the first {!await} of its future merges
+    those records into the sink active on the awaiting domain.  The
+    telemetry counters and histograms and the provenance findings merge
+    this way; no call site collects or absorbs them by hand.
+
     Concurrency policy for the analysis pipeline:
     - parallelism is *configuration*, never semantics: every parallel
       call site must have an exact sequential fallback at [jobs = 1]
-      (the oracle the differential tests compare against);
+      (the oracle the differential tests compare against; see
+      {!parallel_map});
     - tasks must not mutate shared state — results are merged on the
-      caller in input order (see {!Telemetry.parallel_map} for the
-      counter-merging veneer).
+      caller in input order, and records through the task contexts.
 
     The process-wide default domain count comes from the [ADCHECK_JOBS]
     environment variable and the [--jobs] CLI flag via
@@ -54,13 +62,21 @@ type 'a future
 
 (** Enqueue a task.  Always enqueues, also from inside a running task:
     the domain that awaits the nested future keeps running queued tasks,
-    so a saturated pool still drains. *)
+    so a saturated pool still drains.  The task runs inside a fresh
+    context of every module registered with {!add_task_context}, both
+    when a worker runs it and when a domain helps with it inside
+    {!await}. *)
 val submit : t -> (unit -> 'a) -> 'a future
 
 (** Return the task's result, running queued tasks (any task, in queue
     order) on the calling domain until it is available; sleep only while
-    the queue is empty.  Re-raises the task's exception (with its
-    original backtrace) if it failed, whichever domain ran it. *)
+    the queue is empty.  The first [await] of a future also merges the
+    task's records (its task contexts' merges) into the sink active on
+    the awaiting domain, exactly once: awaiting again returns the result
+    without merging anything, and a future nobody awaits never merges.
+    The merge happens for a failed task too, before the task's exception
+    is re-raised (with its original backtrace), whichever domain ran
+    it. *)
 val await : 'a future -> 'a
 
 (** Await every future, returning results in submission order — the
@@ -68,6 +84,23 @@ val await : 'a future -> 'a
     submits independent phases from the main domain and joins here).
     Re-raises the first listed failure. *)
 val await_all : 'a future list -> 'a list
+
+(** Register per-task state: the task-context rule.  Every module that
+    keeps per-domain "current task" state in [Domain.DLS] (a buffer a
+    task's records go into, a clock a timed region reads) registers it
+    here, once, at module initialisation, before any pool runs tasks;
+    [make check-task-state] fails when [Domain.DLS.new_key] appears
+    under [lib/] outside this module, Telemetry and Provenance.
+    [enter ()] is called on the running domain just before each task
+    and installs fresh state; calling its result just after the task
+    restores the state it replaced and returns the [merge] thunk, which
+    the first {!await} of the task's future calls on the awaiting
+    domain to feed the task's records into whatever sink is active
+    there.  So a task never records into the state of a task it
+    interrupted, and its records reach the sink only through its own
+    future: {e every future must be awaited for its records to merge}.
+    Contexts are entered in turn and left in reverse. *)
+val add_task_context : (unit -> unit -> unit -> unit) -> unit
 
 (* ------------------------------------------------------------------ *)
 (* Order-preserving parallel map                                       *)
@@ -96,6 +129,14 @@ val set_default_jobs : int -> unit
     is 1 — callers use [None] to select their exact sequential path. *)
 val global : unit -> t option
 
+(** {!map_chunked} over {!global}.  When the default is 1 job this
+    {e is} [List.map f xs], recording straight into the active sinks —
+    the exact sequential oracle the differential tests compare against.
+    Otherwise each chunk's records merge on the calling domain as its
+    future is awaited, in input order, so the merged sink state equals
+    the sequential one. *)
+val parallel_map : ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
+
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder instrumentation                                     *)
 (* ------------------------------------------------------------------ *)
@@ -107,18 +148,6 @@ val global : unit -> t option
     the work-tier timed regions running there.  Defaults to a constant
     0. *)
 val set_clock : (unit -> float) -> unit
-
-(** Add a context switch around every task that a domain runs while it
-    helps inside {!await}: the hook is called just before the task and
-    returns the function called just after it.  A helped task must run
-    as it would at a worker's top level, so every module that keeps
-    per-domain "current task" state in [Domain.DLS] (a buffer that a
-    task's records go into, a clock a timed region reads) registers one
-    that saves and clears that state and restores it afterwards;
-    otherwise a helped task's records land in the task it interrupted.
-    Hooks compose: each registration adds one.  Register at module
-    initialisation, before any pool runs tasks. *)
-val add_help_context : (unit -> unit -> unit) -> unit
 
 (** Open/close the recording gate.  Closed (the default), submit and
     worker paths pay a single boolean test and make no clock reads —

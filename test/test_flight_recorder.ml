@@ -359,12 +359,12 @@ let helping_metrics ~jobs =
     !acc
   in
   ignore
-    (Telemetry.parallel_map ~chunk_size:1
+    (Util.Pool.parallel_map ~chunk_size:1
        (function
          | None ->
            Telemetry.timed "pooltest.region_us" (fun () ->
                List.fold_left ( + ) 0
-                 (Telemetry.parallel_map ~chunk_size:1 spin (List.init 8 Fun.id)))
+                 (Util.Pool.parallel_map ~chunk_size:1 spin (List.init 8 Fun.id)))
          | Some i -> Telemetry.timed "pooltest.queued_us" (fun () -> spin i))
        (None :: List.init 16 Option.some)
       : int list)
@@ -380,6 +380,72 @@ let test_helping_keeps_region_ticks () =
         (Printf.sprintf "work-tier metrics JSON byte-identical at jobs=%d" jobs)
         oracle (helping_metrics ~jobs))
     [ 2; 8 ]
+
+(* Every span opened in a pool task is recorded, whichever domain runs
+   it: the small-profile audit records the same multiset of span names
+   at every jobs value (per-rule, per-file and per-scenario spans
+   included, not only the audit phases). *)
+let audit_span_names ~jobs =
+  Util.Pool.set_default_jobs jobs;
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.set_enabled false;
+      Util.Pool.set_default_jobs restore_jobs)
+  @@ fun () ->
+  ignore (Iso26262.Audit.run ~specs:Corpus.Apollo_profile.small () : Iso26262.Audit.t);
+  List.sort compare (List.map (fun e -> e.Telemetry.ev_name) (Telemetry.events ()))
+
+let test_audit_spans_jobs_independent () =
+  let oracle = audit_span_names ~jobs:1 in
+  Alcotest.(check bool) "per-rule spans recorded" true
+    (List.mem "misra.rule.IP-1" oracle);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "span names identical at jobs=%d" jobs)
+        oracle (audit_span_names ~jobs))
+    [ 2; 8 ]
+
+(* Two domains each hold an outer span open while they open an inner
+   one: depth counts per domain, so each domain's spans sit at depths 0
+   and 1 however the two interleave. *)
+let test_span_depth_per_domain () =
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.set_enabled false)
+  @@ fun () ->
+  let outer_open = Atomic.make 0 and inner_open = Atomic.make 0 in
+  let meet n =
+    Atomic.incr n;
+    while Atomic.get n < 2 do
+      Domain.cpu_relax ()
+    done
+  in
+  let body name () =
+    Telemetry.with_span name (fun () ->
+        meet outer_open;
+        Telemetry.with_span (name ^ ".inner") (fun () -> meet inner_open))
+  in
+  List.iter Domain.join [ Domain.spawn (body "a"); Domain.spawn (body "b") ];
+  let evs = Telemetry.events () in
+  let tids = List.sort_uniq compare (List.map (fun e -> e.Telemetry.ev_tid) evs) in
+  Alcotest.(check int) "two domains recorded" 2 (List.length tids);
+  List.iter
+    (fun tid ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "depths on tid %d" tid)
+        [ 0; 1 ]
+        (List.sort compare
+           (List.filter_map
+              (fun e -> if e.Telemetry.ev_tid = tid then Some e.Telemetry.ev_depth else None)
+              evs)))
+    tids
 
 let test_runtime_tier_partition () =
   Alcotest.(check bool) "pool. is runtime" true
@@ -639,6 +705,8 @@ let () =
             test_chrome_trace_golden;
           Alcotest.test_case "runtime tier partition" `Quick
             test_runtime_tier_partition;
+          Alcotest.test_case "span depth counts per domain" `Quick
+            test_span_depth_per_domain;
         ] );
       ( "differential",
         [
@@ -648,6 +716,8 @@ let () =
             test_metrics_jobs8;
           Alcotest.test_case "helped tasks leave region ticks" `Quick
             test_helping_keeps_region_ticks;
+          Alcotest.test_case "audit span names identical at jobs 1/2/8" `Slow
+            test_audit_spans_jobs_independent;
         ] );
       ( "pool",
         [

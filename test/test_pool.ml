@@ -1,8 +1,9 @@
 (* Tests for the domain pool: order preservation under map_chunked,
    exception propagation out of workers, nested fan-out drained by
    helping awaits, the jobs bound on tasks running at once, jobs=1
-   equivalence with the sequential code path, and a stress run of many
-   tiny tasks across several domains. *)
+   equivalence with the sequential code path, task contexts (a task's
+   counters and findings merge once, through its own future), and a
+   stress run of many tiny tasks across several domains. *)
 
 let with_pool ~jobs f =
   let pool = Util.Pool.create ~jobs in
@@ -293,7 +294,7 @@ let test_jobs1_matches_list_map () =
         (Util.Pool.map_chunked pool f xs))
 
 (* With the process default at 1 there is no global pool at all, and
-   Telemetry.parallel_map must literally be List.map — counters land in
+   Util.Pool.parallel_map must literally be List.map — counters land in
    the global sink directly, not through a worker-side buffer. *)
 let test_default_jobs1_means_no_global_pool () =
   let saved = Util.Pool.default_jobs () in
@@ -310,7 +311,7 @@ let test_default_jobs1_means_no_global_pool () =
       Telemetry.set_enabled false)
   @@ fun () ->
   let ys =
-    Telemetry.parallel_map
+    Util.Pool.parallel_map
       (fun x ->
         Telemetry.incr "pooltest.calls";
         x + 1)
@@ -331,6 +332,85 @@ let test_default_jobs_clamped () =
   match Util.Pool.global () with
   | Some pool -> Alcotest.(check int) "global pool sized 4" 4 (Util.Pool.jobs pool)
   | None -> Alcotest.fail "expected a global pool at jobs=4"
+
+(* ------------------------------------------------------------------ *)
+(* Task contexts: a task's records merge through its own future         *)
+(* ------------------------------------------------------------------ *)
+
+let with_sinks f =
+  Telemetry.reset ();
+  Provenance.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.reset ();
+      Telemetry.set_enabled false;
+      Provenance.reset ())
+    f
+
+(* One counter increment, one histogram sample and one finding. *)
+let record_once msg =
+  Telemetry.incr "pooltest.records";
+  Telemetry.observe "pooltest.samples" 1.0;
+  Provenance.record
+    (Provenance.make ~kind:"test" ~analysis:"pool" ~message:msg
+       ~witness:[ Provenance.step "site" "%s" msg ]
+       ())
+
+let samples () =
+  Option.fold ~none:0 ~some:Util.Histogram.count
+    (Telemetry.histogram "pooltest.samples")
+
+(* Awaiting a resolved future again returns the same result but merges
+   nothing more: the counter, the histogram and the findings that a
+   [collect] around both awaits sees are not doubled. *)
+let test_await_twice_merges_once () =
+  with_sinks @@ fun () ->
+  List.iter
+    (fun jobs ->
+      Telemetry.reset ();
+      with_pool ~jobs (fun pool ->
+          let fut =
+            Util.Pool.submit pool (fun () ->
+                record_once "twice";
+                7)
+          in
+          let (a, b), findings =
+            Provenance.collect (fun () -> (Util.Pool.await fut, Util.Pool.await fut))
+          in
+          let label what = Printf.sprintf "%s at jobs=%d" what jobs in
+          Alcotest.(check (pair int int)) (label "same result") (7, 7) (a, b);
+          Alcotest.(check int) (label "counter merged once") 1
+            (Telemetry.counter "pooltest.records");
+          Alcotest.(check int) (label "histogram merged once") 1 (samples ());
+          Alcotest.(check int) (label "finding merged once") 1
+            (List.length findings)))
+    [ 1; 2; 4 ]
+
+(* A plain submit on a worker: once the task has run, its records are
+   still its own, and its await is what hands them to the sink. *)
+let test_submit_merges_at_await () =
+  with_sinks @@ fun () ->
+  with_pool ~jobs:2 (fun pool ->
+      let ran = Atomic.make false in
+      let fut =
+        Util.Pool.submit pool (fun () ->
+            record_once "plain";
+            Atomic.set ran true)
+      in
+      while not (Atomic.get ran) do
+        Domain.cpu_relax ()
+      done;
+      Alcotest.(check int) "no counter before the await" 0
+        (Telemetry.counter "pooltest.records");
+      Alcotest.(check int) "no finding before the await" 0
+        (List.length (Provenance.findings ()));
+      Util.Pool.await fut;
+      Alcotest.(check int) "counter after the await" 1
+        (Telemetry.counter "pooltest.records");
+      Alcotest.(check int) "histogram after the await" 1 (samples ());
+      Alcotest.(check int) "finding after the await" 1
+        (List.length (Provenance.findings ())))
 
 (* ------------------------------------------------------------------ *)
 (* Stress                                                               *)
@@ -365,7 +445,7 @@ let test_stress_counter_merge () =
   @@ fun () ->
   let n = 5_000 in
   let ys =
-    Telemetry.parallel_map
+    Util.Pool.parallel_map
       (fun x ->
         Telemetry.incr "pooltest.stress";
         Telemetry.add "pooltest.sum" x;
@@ -418,6 +498,13 @@ let () =
             test_default_jobs1_means_no_global_pool;
           Alcotest.test_case "default jobs clamping and sizing" `Quick
             test_default_jobs_clamped;
+        ] );
+      ( "contexts",
+        [
+          Alcotest.test_case "awaited twice merges once" `Quick
+            test_await_twice_merges_once;
+          Alcotest.test_case "submit merges at its await" `Quick
+            test_submit_merges_at_await;
         ] );
       ( "stress",
         [

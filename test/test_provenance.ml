@@ -1,6 +1,7 @@
 (* Provenance journal test suite: content-derived id stability, the
    collect/absorb buffering discipline (also for a collect whose domain
-   helps with queued tasks while it awaits), canonical export order and
+   helps with queued tasks while it awaits), pool tasks merging their
+   findings only through their own futures, canonical export order and
    dedup, id/prefix lookup, the adcheck-evidence/1 JSONL exporter,
    explain rendering with source excerpts, first-covering-scenario
    attribution in the coverage collector, the audit round-trip (every
@@ -143,6 +144,66 @@ let check_collect_excludes_helped ~jobs =
 
 let test_collect_excludes_helped () =
   List.iter (fun jobs -> check_collect_excludes_helped ~jobs) [ 2; 8 ]
+
+(* With every worker parked, the awaiting domain helps with queued
+   foreign tasks before it reaches its own: their counters and findings
+   stay theirs until their own futures are awaited, and then arrive. *)
+let check_helped_merge_through_own_future ~jobs =
+  P.reset ();
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  let pool = Util.Pool.create ~jobs in
+  let gate = Atomic.make false in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set gate true;
+      Util.Pool.shutdown pool;
+      Telemetry.reset ();
+      Telemetry.set_enabled false;
+      P.reset ())
+  @@ fun () ->
+  let parked = Atomic.make 0 in
+  let blockers =
+    List.init (jobs - 1) (fun _ ->
+        Util.Pool.submit pool (fun () ->
+            Atomic.incr parked;
+            while not (Atomic.get gate) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while Atomic.get parked < jobs - 1 do
+    Domain.cpu_relax ()
+  done;
+  let ran = Atomic.make 0 in
+  let foreign = List.init 3 (fun i -> mk ~kind:"test" ~analysis:"foreign" (string_of_int i)) in
+  let queued =
+    List.map
+      (fun f ->
+        Util.Pool.submit pool (fun () ->
+            Telemetry.incr "provtest.foreign";
+            P.record f;
+            Atomic.incr ran))
+      foreign
+  in
+  let own = mk ~kind:"test" ~analysis:"own" "own" in
+  Util.Pool.await (Util.Pool.submit pool (fun () -> P.record own));
+  let ids fs = List.sort compare (List.map (fun f -> f.P.f_id) fs) in
+  let label what = Printf.sprintf "%s at jobs=%d" what jobs in
+  Alcotest.(check int) (label "foreign tasks ran while helping") 3 (Atomic.get ran);
+  Alcotest.(check (list string)) (label "only the awaited finding merged")
+    [ own.P.f_id ] (ids (P.findings ()));
+  Alcotest.(check int) (label "no foreign counter merged") 0
+    (Telemetry.counter "provtest.foreign");
+  Atomic.set gate true;
+  ignore (Util.Pool.await_all blockers : unit list);
+  ignore (Util.Pool.await_all queued : unit list);
+  Alcotest.(check (list string)) (label "foreign findings merged by their awaits")
+    (ids (own :: foreign)) (ids (P.findings ()));
+  Alcotest.(check int) (label "foreign counters merged by their awaits") 3
+    (Telemetry.counter "provtest.foreign")
+
+let test_helped_merge_through_own_future () =
+  List.iter (fun jobs -> check_helped_merge_through_own_future ~jobs) [ 1; 2; 8 ]
 
 let test_canonical_order () =
   P.reset ();
@@ -543,6 +604,8 @@ let () =
           Alcotest.test_case "collect/absorb/dedup" `Quick test_collect_absorb;
           Alcotest.test_case "collect excludes helped tasks" `Quick
             test_collect_excludes_helped;
+          Alcotest.test_case "helped task merges at its own await" `Quick
+            test_helped_merge_through_own_future;
           Alcotest.test_case "canonical export order" `Quick
             test_canonical_order;
           Alcotest.test_case "find by id and prefix" `Quick test_find;

@@ -372,10 +372,11 @@ let row_value (t : Util.Table.t) key =
 let test_stats_golden_small_corpus () =
   Telemetry.reset ();
   Telemetry.set_enabled true;
-  (* This golden pins the *sequential* span structure (per-rule spans are
-     deliberately suppressed on pool workers), so force the oracle path
-     regardless of ADCHECK_JOBS; test_parallel_determinism covers the
-     parallel side. *)
+  (* This golden pins the *sequential* run (one domain, so one span
+     nesting), so force the oracle path regardless of ADCHECK_JOBS;
+     test_parallel_determinism covers the parallel side, and
+     test_flight_recorder checks that every jobs value records the same
+     span names. *)
   let saved_jobs = Util.Pool.default_jobs () in
   let teardown () = Util.Pool.set_default_jobs saved_jobs; teardown () in
   Fun.protect ~finally:teardown @@ fun () ->
