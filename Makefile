@@ -1,4 +1,4 @@
-.PHONY: all build test check check-par check-cache check-task-state bench bench-diff clean
+.PHONY: all build test check check-par check-cache check-task-state check-globals bench bench-diff clean
 
 all: build
 
@@ -19,7 +19,7 @@ test:
 # regress at most 50% (wall time on a shared CI box is noisy; the
 # threshold catches step changes, not jitter — see `adcheck bench-diff
 # --help` for the floor that also ignores sub-millisecond drift).
-check: build test check-par check-cache check-task-state
+check: build test check-par check-cache check-task-state check-globals
 	dune build bench/main.exe
 	dune exec bin/adcheck.exe -- dataflow --scale small \
 	  --metrics _build/check-metrics.json
@@ -53,6 +53,23 @@ check-task-state:
 	  echo "$$bad"; \
 	  echo "Register per-task state with Util.Pool.add_task_context instead:"; \
 	  echo "see the task-context rule in lib/util/pool.mli."; \
+	  exit 1; \
+	fi
+
+# No new process globals: state a caller would have to reset between
+# runs belongs to the run, not the process.  Fails when a top-level
+# `let` under lib/ binds a `ref`, `Atomic.make`, `Hashtbl.create` or
+# `Mutex.create` on the `let` line itself.  Only the run-state owners
+# that are to be folded into one run value are exempt: the pool,
+# Telemetry, Provenance and the Cache global.
+check-globals:
+	@bad=$$(grep -rnE --include='*.ml' \
+	  '^let [^=]*= *(ref|Atomic\.make|Hashtbl\.create|Mutex\.create)\b' lib \
+	  | grep -vE '^lib/(util/pool|telemetry/telemetry|provenance/provenance|cache/cache)\.ml:'); \
+	if [ -n "$$bad" ]; then \
+	  echo "check-globals: top-level mutable state outside the run-state owners:"; \
+	  echo "$$bad"; \
+	  echo "Keep such state in a value the caller creates (e.g. per parse or per run)."; \
 	  exit 1; \
 	fi
 

@@ -27,7 +27,8 @@ let () =
   let collector = Coverage.Collector.create () in
   let env = Coverage.Interp.create ~hooks:(Coverage.Collector.hooks collector) () in
   let gap_tu =
-    Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" r.Coverage.Testgen.driver
+    Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" ~after:tus
+      r.Coverage.Testgen.driver
   in
   let tus2 = tus @ [ gap_tu ] in
   (match Coverage.Interp.run env tus2 ~entry:Corpus.Yolo_src.entry ~args:[] with

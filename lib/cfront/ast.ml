@@ -1,8 +1,13 @@
 (** Abstract syntax for the C/C++/CUDA subset.
 
-    Every expression and statement node carries a unique (per translation
-    unit) id, assigned by the parser; the coverage instrumenter keys its
-    counters on these ids. *)
+    Every expression and statement node carries an id assigned by the
+    parser; the coverage instrumenter keys its counters on these ids.  A
+    translation unit numbers its expressions [id_base ..
+    id_base + n_exprs - 1] and its statements [id_base ..
+    id_base + n_stmts - 1] in parse order, so ids are a function of the
+    source and the base alone.  The base is 0 unless the unit was parsed
+    after others (see {!Parser.parse_files}); units that run together as
+    one program must have disjoint ranges ({!check_disjoint_ids}). *)
 
 type ctype =
   | Tvoid
@@ -167,9 +172,41 @@ type tu = {
   comment_lines : int;
   directives : (int * Preproc.directive) list;
   diags : string list;
-  n_exprs : int;  (** total expression nodes = max eid + 1 *)
-  n_stmts : int;
+  id_base : int;  (** first eid and first sid of this unit *)
+  n_exprs : int;  (** expression nodes: eids are [id_base .. id_base + n_exprs - 1] *)
+  n_stmts : int;  (** statement nodes: sids are [id_base .. id_base + n_stmts - 1] *)
 }
+
+(** First id past every eid and sid of [tus] (0 for []): the base of a
+    unit parsed after them. *)
+let id_limit tus =
+  List.fold_left
+    (fun acc tu -> Stdlib.max acc (tu.id_base + Stdlib.max tu.n_exprs tu.n_stmts))
+    0 tus
+
+(** Reject a program whose distinct (physically different) units have
+    overlapping eid or sid ranges: separately parsed units would share
+    coverage counter keys.  Raises [Invalid_argument] naming [caller] and
+    both files. *)
+let check_disjoint_ids ~caller tus =
+  let overlap b1 n1 b2 n2 = n1 > 0 && n2 > 0 && b1 < b2 + n2 && b2 < b1 + n1 in
+  let clash a b =
+    a != b
+    && (overlap a.id_base a.n_exprs b.id_base b.n_exprs
+        || overlap a.id_base a.n_stmts b.id_base b.n_stmts)
+  in
+  List.iter
+    (fun a ->
+      match List.find_opt (clash a) tus with
+      | Some b ->
+        invalid_arg
+          (Printf.sprintf
+             "%s: %s and %s were parsed separately and share \
+              expression/statement ids; parse them together with \
+              Parser.parse_files or ~after"
+             caller a.tu_file b.tu_file)
+      | None -> ())
+    tus
 
 (** Fully-qualified function name, e.g. ["perception::Detector::Resize"]. *)
 let qualified_name (f : func) = String.concat "::" (f.f_scope @ [ f.f_name ])

@@ -16,6 +16,7 @@ exception Parse_error of string * Loc.t
 type state = {
   toks : Token.t array;
   mutable pos : int;
+  id_base : int;  (** first eid/sid of the unit being parsed *)
   mutable n_eids : int;
   mutable n_sids : int;
   mutable type_names : (string, unit) Hashtbl.t;
@@ -23,48 +24,6 @@ type state = {
   mutable pending_tops : Ast.top list;
       (** extra declarators of the top currently being parsed *)
 }
-
-(* Expression/statement ids are globally unique across every translation
-   unit parsed in the process: the coverage collector keys its counters on
-   them, and a multi-file program must not alias ids between files.
-   Atomic so translation units may be parsed on concurrent domains
-   (Cfront.Project.parse under --jobs); ids then interleave between
-   files but never alias, and sequential parses allocate the exact ids
-   they always did. *)
-let global_eid = Atomic.make 0
-let global_sid = Atomic.make 0
-
-(* Id-trajectory hooks for the artifact cache (Cache/--cache DIR): a
-   cache hit must consume exactly the id range the skipped parse would
-   have allocated, so every later parse in the process starts from the
-   same base a cold run would give it — that is what keeps collector
-   fingerprints (which embed raw eids/sids) byte-identical between cold
-   and warm runs. *)
-let id_state () = (Atomic.get global_eid, Atomic.get global_sid)
-
-let reserve_ids ~eids ~sids =
-  ignore (Atomic.fetch_and_add global_eid eids);
-  ignore (Atomic.fetch_and_add global_sid sids)
-
-(* Only for cache-enabled runs (Iso26262.Audit resets before parsing so
-   the trajectory is process-position-independent and artifacts recorded
-   by one process are hits in the next); never called on the cold
-   no-cache oracle path, whose historical id sequence stays untouched. *)
-let reset_ids () =
-  Atomic.set global_eid 0;
-  Atomic.set global_sid 0
-
-(* Pin the counters to an absolute base.  Cache-enabled coverage phases
-   use fixed, well-separated bases so their parses — and therefore the
-   collector fingerprints and cached outcomes keyed on those ids — are
-   independent of how many ids the corpus consumed before them: editing
-   a corpus file then no longer invalidates the coverage artifacts.
-   Safe because coverage ids never need to be globally unique against
-   corpus ids (each phase scores its own collector over its own parse);
-   like [reset_ids], never called on the cold no-cache oracle path. *)
-let set_ids ~eids ~sids =
-  Atomic.set global_eid eids;
-  Atomic.set global_sid sids
 
 let builtin_type_names =
   [
@@ -74,11 +33,11 @@ let builtin_type_names =
     "cudaStream_t"; "string"; "std::string";
   ]
 
-let make_state toks =
+let make_state ?(id_base = 0) toks =
   let type_names = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace type_names n ()) builtin_type_names;
-  { toks = Array.of_list toks; pos = 0; n_eids = 0; n_sids = 0; type_names;
-    diags = []; pending_tops = [] }
+  { toks = Array.of_list toks; pos = 0; id_base; n_eids = 0; n_sids = 0;
+    type_names; diags = []; pending_tops = [] }
 
 let cur st = st.toks.(Stdlib.min st.pos (Array.length st.toks - 1))
 let cur_kind st = (cur st).Token.kind
@@ -114,13 +73,15 @@ let expect_ident st =
   | Token.Ident s -> advance st; s
   | _ -> err st (Printf.sprintf "expected identifier, found %s" (Token.to_string (cur st)))
 
+(* Ids number the unit's nodes in parse order from its base: a pure
+   function of the source and the base. *)
 let fresh_eid st =
   st.n_eids <- st.n_eids + 1;
-  Atomic.fetch_and_add global_eid 1
+  st.id_base + st.n_eids - 1
 
 let fresh_sid st =
   st.n_sids <- st.n_sids + 1;
-  Atomic.fetch_and_add global_sid 1
+  st.id_base + st.n_sids - 1
 
 let mk_expr st loc e = { Ast.e; eloc = loc; eid = fresh_eid st }
 let mk_stmt st loc s = { Ast.s; sloc = loc; sid = fresh_sid st }
@@ -1126,8 +1087,9 @@ and parse_top_tolerant st scope =
 
 (** Parse a whole translation unit from source text.  [extra_types] seeds
     the type-name registry — the stand-in for types that would arrive via
-    a header include. *)
-let parse_file ?(extra_types = []) ~file source =
+    a header include.  Ids start at 0, or just past the ranges of [after]
+    when the unit joins a program already parsed. *)
+let parse_file ?(extra_types = []) ?(after = []) ~file source =
   let pre = Preproc.run ~file source in
   let lexed = Lexer.tokenize ~file pre.Preproc.text in
   let defines =
@@ -1140,8 +1102,7 @@ let parse_file ?(extra_types = []) ~file source =
       pre.Preproc.directives
   in
   let tokens = Preproc.expand_macros ~defines lexed.Lexer.tokens in
-  let st = make_state tokens in
-
+  let st = make_state ~id_base:(Ast.id_limit after) tokens in
   List.iter (register_type st) extra_types;
   let tops = ref [] in
   while (cur st).Token.kind <> Token.Eof do
@@ -1157,9 +1118,22 @@ let parse_file ?(extra_types = []) ~file source =
     comment_lines = lexed.Lexer.comment_lines;
     directives = pre.Preproc.directives;
     diags = List.rev st.diags @ lexed.Lexer.diagnostics @ pre.Preproc.diagnostics;
+    id_base = st.id_base;
     n_exprs = st.n_eids;
     n_stmts = st.n_sids;
   }
+
+(** Parse a multi-file program: each unit starts where the previous one's
+    ids end (the first, where [after]'s end), so the units' id ranges are
+    contiguous and disjoint. *)
+let parse_files ?extra_types ?(after = []) files =
+  let rec go after = function
+    | [] -> []
+    | (file, source) :: rest ->
+      let tu = parse_file ?extra_types ~after ~file source in
+      tu :: go [ tu ] rest
+  in
+  go after files
 
 (** Parse an expression in isolation (used by tests). *)
 let parse_expr_string src =

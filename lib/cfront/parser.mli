@@ -6,9 +6,13 @@
     analyzers such as Lizard.  Inside function bodies parsing is strict; a
     failing body aborts only that definition.
 
-    Expression and statement ids are globally unique across every
-    translation unit parsed in the process, so coverage counters keyed on
-    them never alias between files. *)
+    Expression and statement ids are a property of the parse: a unit
+    numbers its nodes in parse order from a base it computes itself (0,
+    or just past the ranges of the units it is parsed [~after]), recorded
+    as [Ast.tu.id_base].  Parsing the same source at the same base
+    always yields the same ids, whatever else the process parsed.  Units
+    that run together as one program — where coverage counters keyed on
+    ids must not alias — are parsed with {!parse_files} or [~after]. *)
 
 exception Parse_error of string * Loc.t
 
@@ -18,31 +22,17 @@ exception Parse_error of string * Loc.t
     names that would arrive via header includes (see
     {!Cfront.Project.parse}, which derives them automatically for
     multi-file projects).  [file] is used for locations only; [source] is
-    the raw text (the preprocessor runs internally). *)
-val parse_file : ?extra_types:string list -> file:string -> string -> Ast.tu
+    the raw text (the preprocessor runs internally).  Ids start at
+    [Ast.id_limit after] (0 by default), so the new unit's ranges are
+    disjoint from those of every unit in [after]. *)
+val parse_file :
+  ?extra_types:string list -> ?after:Ast.tu list -> file:string -> string -> Ast.tu
 
-(** Current [(next eid, next sid)] of the process-global id counters. *)
-val id_state : unit -> int * int
-
-(** Advance the global id counters by [eids]/[sids] without parsing —
-    called when a cache hit replaces a parse, so the skipped parse still
-    consumes its id range and every later parse starts from the same
-    base a cold run would give it (collector fingerprints embed raw
-    ids, and the cache's cold-vs-warm byte-identity contract covers
-    them). *)
-val reserve_ids : eids:int -> sids:int -> unit
-
-(** Reset the global id counters.  Only cache-enabled pipelines do this
-    (making id trajectories process-position-independent so artifacts
-    recorded by one process are hits in the next); the cold no-cache
-    oracle path never resets. *)
-val reset_ids : unit -> unit
-
-(** Pin the global id counters to an absolute base.  Cache-enabled
-    coverage phases park their parses at fixed, well-separated bases so
-    the artifacts keyed on those ids survive corpus edits; never called
-    on the cold no-cache oracle path. *)
-val set_ids : eids:int -> sids:int -> unit
+(** Parse a multi-file program from [(path, source)] pairs, in order,
+    with contiguous disjoint id ranges starting at [Ast.id_limit after]
+    (0 by default). *)
+val parse_files :
+  ?extra_types:string list -> ?after:Ast.tu list -> (string * string) list -> Ast.tu list
 
 (** Parse an expression in isolation (tests and tooling). *)
 val parse_expr_string : string -> Ast.expr

@@ -81,8 +81,9 @@ let file_key parsed (pf : parsed_file) =
 
 (* Both the pre-scan and the per-file parse fan out over
    [Util.Pool.parallel_map]: files are independent once the shared type
-   names are known, results come back in file order, and at --jobs 1 the
-   map *is* List.map, so sequential runs take the exact historical path. *)
+   names are known, results come back in file order, and each file's ids
+   start at 0 (corpus files are analysed statically, never run as one
+   program), so the parse is identical at every --jobs value. *)
 let parse t =
   let sp = Telemetry.start_span ~cat:"cfront" "parse" in
   let t0 = Telemetry.now_us () in
@@ -102,18 +103,14 @@ let parse t =
           match Cache.global () with
           | None -> fresh ()
           | Some c ->
-            (* Content-addressed parse artifact.  On a hit the skipped
-               parse must still consume its global id range so later
-               parses start from cold-identical bases (the cached tu
-               carries the ids it was recorded with). *)
+            (* Content-addressed parse artifact.  Every file's ids start
+               at 0, so a hit is exactly the tree a fresh parse builds. *)
             let key =
               Cache.key ~kind:"parse"
                 [ f.path; Cache.fnv1a64 f.content; types_key ]
             in
             (match Cache.find c ~kind:"parse" ~key with
-             | Some (tu : Ast.tu) ->
-               Parser.reserve_ids ~eids:tu.Ast.n_exprs ~sids:tu.Ast.n_stmts;
-               { file = f; tu }
+             | Some (tu : Ast.tu) -> { file = f; tu }
              | None ->
                let pf = fresh () in
                Cache.store c ~owner:f.path ~kind:"parse" ~key pf.tu;

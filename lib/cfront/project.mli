@@ -34,7 +34,8 @@ val file_count : t -> int
 val scan_type_names : source_file list -> string list
 
 (** Parse every file, seeding each unit's type registry with
-    {!scan_type_names} of the whole project. *)
+    {!scan_type_names} of the whole project.  Each file's ids start at 0:
+    the units are analysed one by one, not run as one program. *)
 val parse : t -> parsed
 
 (** Cache key for the whole source tree: every path + content, in

@@ -138,19 +138,22 @@ type outcome = {
 (** Engine form of the scenario list, over a shared parse of the YOLO
     sources: each driver is parsed privately, but the measured units are
     the caller's [yolo_tus], so per-file hit sets collected by different
-    fault scenarios merge on identical statement/decision ids. *)
+    fault scenarios merge on identical statement/decision ids.  Each
+    driver is parsed after [yolo_tus] and the drivers before it, so every
+    distinct unit of the list has its own id range. *)
 let to_scenarios ~yolo_tus =
-  List.map
-    (fun sc ->
+  let drivers =
+    Cfront.Parser.parse_files ~extra_types:Yolo_src.extra_types ~after:yolo_tus
+      (List.map (fun sc -> ("fault/" ^ sc.sc_name ^ ".c", sc.sc_driver)) scenarios)
+  in
+  List.map2
+    (fun sc driver ->
       {
         Coverage.Scenario.sc_name = sc.sc_name;
-        sc_tus =
-          yolo_tus
-          @ [ Cfront.Parser.parse_file ~extra_types:Yolo_src.extra_types
-                ~file:("fault/" ^ sc.sc_name ^ ".c") sc.sc_driver ];
+        sc_tus = yolo_tus @ [ driver ];
         sc_entries = [ "scenario" ];
       })
-    scenarios
+    scenarios drivers
 
 let outcome_of sc (o : Coverage.Scenario.outcome) =
   let faulted, detail =

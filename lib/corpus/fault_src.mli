@@ -15,7 +15,9 @@ type scenario = {
 val scenarios : scenario list
 
 (** Engine form over a shared parse of the YOLO sources, so the hit sets
-    different fault scenarios collect merge on identical ids. *)
+    different fault scenarios collect merge on identical ids.  Each driver
+    is parsed after [yolo_tus] and the drivers before it, so the ids of
+    all distinct units in the list are disjoint. *)
 val to_scenarios : yolo_tus:Cfront.Ast.tu list -> Coverage.Scenario.t list
 
 type outcome = {

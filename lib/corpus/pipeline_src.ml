@@ -242,10 +242,7 @@ let files =
     ("mini/mini_main.c", driver_c);
   ]
 
-let parse_all () =
-  List.map
-    (fun (path, content) -> Cfront.Parser.parse_file ~extra_types ~file:path content)
-    files
+let parse_all () = Cfront.Parser.parse_files ~extra_types files
 
 let measured_files = List.filter (fun (p, _) -> p <> "mini/mini_main.c") files
 

@@ -26,7 +26,8 @@ let full () =
   Telemetry.with_span ~cat:"coverage" "coverage.scenario_set" @@ fun () ->
   (* ONE parse of the YOLO sources: statement/decision ids are assigned
      at parse time, so every scenario must share these units for its hit
-     sets to merge onto the same keys. *)
+     sets to merge onto the same keys.  The ids start at 0, so building
+     the set twice gives identical ids. *)
   let yolo_tus = Yolo_src.parse_all () in
   let measured = List.map fst Yolo_src.measured_files in
   (* One scenario per real-scenario test, in the driver's call order.
@@ -68,7 +69,13 @@ let full () =
   in
   let plans = Coverage.Testgen.plan_for_gaps baseline yolo_tus ~measured in
   let driver, entries = Coverage.Testgen.driver_of_plans plans in
-  let gap_tu = Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" driver in
+  (* parsed after every unit the other scenarios run, so the set's
+     distinct units have disjoint id ranges (Scenario.run_all checks) *)
+  let gap_tu =
+    Cfront.Parser.parse_file ~file:"testgen/gap_driver.c"
+      ~after:(List.concat_map (fun sc -> sc.Coverage.Scenario.sc_tus) (reals @ faults))
+      driver
+  in
   let probes =
     List.mapi
       (fun i batch ->

@@ -161,10 +161,7 @@ let files =
     ("stencil/stencil_main.cu", driver_cu);
   ]
 
-let parse_all () =
-  List.map
-    (fun (path, content) -> Cfront.Parser.parse_file ~extra_types ~file:path content)
-    files
+let parse_all () = Cfront.Parser.parse_files ~extra_types files
 
 let measured_files = List.filter (fun (p, _) -> p <> "stencil/stencil_main.cu") files
 

@@ -736,10 +736,7 @@ let files =
     ("yolo/test_main.c", driver_c);
   ]
 
-let parse_all () =
-  List.map
-    (fun (path, content) -> Cfront.Parser.parse_file ~extra_types ~file:path content)
-    files
+let parse_all () = Cfront.Parser.parse_files ~extra_types files
 
 (** Translation units under measurement (the driver itself is excluded
     from the coverage report, like a test harness would be). *)

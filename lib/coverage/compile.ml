@@ -816,11 +816,12 @@ let compile_uncached (tus : A.tu list) : B.program =
 
 (* Cached entry point.  The key hashes the marshaled tu list, which
    embeds every eid/sid operand the probe instructions will carry — so
-   an artifact recorded under one id trajectory can only hit when the
-   current parse reproduces those exact bytes, making the artifact
-   self-validating (a mismatched trajectory is a miss and a recompile,
-   never a wrong program).  No owner: the key alone decides validity. *)
+   an artifact can only hit when the current parse reproduces those
+   exact bytes, making the artifact self-validating (different ids are
+   a miss and a recompile, never a wrong program).  No owner: the key
+   alone decides validity. *)
 let compile (tus : A.tu list) : B.program =
+  A.check_disjoint_ids ~caller:"Compile.compile" tus;
   match Cache.global () with
   | None -> compile_uncached tus
   | Some c ->

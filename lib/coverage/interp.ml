@@ -905,6 +905,7 @@ let load_tu env (tu : Cfront.Ast.tu) =
 
 (** Load several units and call [entry] with the given argument values. *)
 let run env tus ~entry ~args =
+  Cfront.Ast.check_disjoint_ids ~caller:"Interp.run" tus;
   List.iter (load_tu env) tus;
   match resolve_func env entry with
   | None -> Error (Printf.sprintf "entry function %s not found" entry)

@@ -120,7 +120,9 @@ val load_tu : env -> Cfront.Ast.tu -> unit
 (** [run env tus ~entry ~args] loads [tus] then calls [entry].  Returns
     the entry's return value, or a diagnostic for runtime errors, memory
     faults, uncaught C++ exceptions, or step-limit exhaustion.  An
-    environment survives errors and can run further entry points. *)
+    environment survives errors and can run further entry points.
+    Raises [Invalid_argument] if two distinct units of [tus] have
+    overlapping id ranges ({!Cfront.Ast.check_disjoint_ids}). *)
 val run :
   env ->
   Cfront.Ast.tu list ->

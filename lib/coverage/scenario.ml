@@ -102,6 +102,8 @@ let compile_cache scenarios =
    domain runs it; the counters and findings merge as its future is
    awaited, in scenario order. *)
 let run_all ?(engine = Tree) scenarios =
+  Cfront.Ast.check_disjoint_ids ~caller:"Scenario.run_all"
+    (List.concat_map (fun sc -> sc.sc_tus) scenarios);
   (* programs are compiled sequentially up front (compilation is pure
      and jobs-independent), then shared across the pool *)
   let program_for =

@@ -63,7 +63,9 @@ val run_one : ?engine:engine -> ?program:Bytecode.program -> t -> outcome
 (** Run every scenario across the pool; outcomes in input order.  At
     jobs=1 this is exactly [List.map run_one].  Under [Bytecode], each
     distinct parse in the list is compiled once up front and the
-    immutable program is shared by all worker domains. *)
+    immutable program is shared by all worker domains.  Raises
+    [Invalid_argument] if two distinct units across all the scenarios
+    have overlapping id ranges: their hits would merge onto shared keys. *)
 val run_all : ?engine:engine -> t list -> outcome list
 
 (** Union of all outcome collectors, merged in list order. *)

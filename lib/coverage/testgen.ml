@@ -185,7 +185,7 @@ let close_gaps ~entry ~measured (tus : Cfront.Ast.tu list) =
   let plans = plan_for_gaps c1 tus ~measured in
   let driver, entries = driver_of_plans plans in
   (* pass 2: original tests + synthesized probes, fresh collector *)
-  let gap_tu = Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" driver in
+  let gap_tu = Cfront.Parser.parse_file ~file:"testgen/gap_driver.c" ~after:tus driver in
   let c2 = Collector.create () in
   let env2 = Interp.create ~hooks:(Collector.hooks c2) () in
   let tus2 = tus @ [ gap_tu ] in

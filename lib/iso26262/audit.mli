@@ -41,12 +41,12 @@ val run_stencil_coverage :
     broken.
 
     When the global artifact cache is enabled ([Cache.set_global] /
-    [--cache DIR]), the run restarts the parser id counters, diffs the
-    tree against the stored dependency manifest, invalidates exactly the
-    changed files and their transitive reverse-dependents, and serves
-    every other artifact warm.  The contract — enforced by
-    [test/test_cache_diff.ml] — is that report bytes, the evidence
-    journal and every finding id are identical to a cold jobs=1 run. *)
+    [--cache DIR]), the run diffs the tree against the stored dependency
+    manifest, invalidates exactly the changed files and their transitive
+    reverse-dependents, and serves every other artifact warm.  The
+    contract — enforced by [test/test_cache_diff.ml] — is that report
+    bytes, the evidence journal and every finding id are identical to a
+    cold jobs=1 run. *)
 val run :
   ?seed:int ->
   ?specs:Corpus.Apollo_profile.module_spec list ->

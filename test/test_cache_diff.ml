@@ -299,12 +299,11 @@ let project_of files =
             files } ]
 
 (* One warm run over [tree] against store [c], replaying the audit's
-   cache discipline: restart the id counters, diff against the stored
-   manifest (sweeping only paths that left the tree), parse, save the
-   new manifest, then MISRA + per-file dataflow.  Returns a rendering
-   that covers every cached artifact kind plus the finding ids. *)
+   cache discipline: diff against the stored manifest (sweeping only
+   paths that left the tree), parse, save the new manifest, then MISRA +
+   per-file dataflow.  Returns a rendering that covers every cached
+   artifact kind plus the finding ids. *)
 let lib_run c tree =
-  Cfront.Parser.reset_ids ();
   let hashes =
     List.map
       (fun (f : Cfront.Project.source_file) ->
@@ -555,9 +554,7 @@ type audit_obs = {
 }
 
 (* One audit under the tick clock at [jobs], optionally against [cache]
-   and over an explicit [project] tree.  The id counters restart before
-   every run — including the no-cache oracle — so in-process runs are
-   base-comparable with each other and with a fresh process. *)
+   and over an explicit [project] tree. *)
 let audit_obs ?project ~jobs ~cache () =
   Util.Pool.set_default_jobs jobs;
   Telemetry.reset ();
@@ -573,7 +570,6 @@ let audit_obs ?project ~jobs ~cache () =
       Util.Pool.set_default_jobs restore_jobs)
   @@ fun () ->
   let before = Option.map Cache.stats cache in
-  Cfront.Parser.reset_ids ();
   let audit =
     Iso26262.Audit.run ~seed:diff_seed ~specs:trimmed_specs ?project ()
   in
@@ -625,28 +621,22 @@ let test_audit_cold_with_cache () =
       (d.Cache.misses > 0 && d.Cache.stores > 0);
     Alcotest.(check int) "no invalidation on first contact" 0 obs.a_invalidate
 
-let test_audit_warm_jobs1 () =
-  let obs = audit_obs ~jobs:1 ~cache:(Some (Lazy.force audit_store)) () in
-  check_matches_oracle ~name:"warm jobs=1" obs;
+let check_audit_warm ~jobs =
+  let name = Printf.sprintf "warm jobs=%d" jobs in
+  let obs = audit_obs ~jobs ~cache:(Some (Lazy.force audit_store)) () in
+  check_matches_oracle ~name obs;
   match obs.a_stats with
   | None -> Alcotest.fail "no cache stats"
   | Some d ->
-    Alcotest.(check int) "warm jobs=1 recomputes nothing" 0 d.Cache.misses;
-    Alcotest.(check bool) "warm jobs=1 answers from the store" true
+    Alcotest.(check int) (name ^ " recomputes nothing") 0 d.Cache.misses;
+    Alcotest.(check bool) (name ^ " answers from the store") true
       (d.Cache.hits > 0);
     Alcotest.(check int) "identical tree invalidates nothing" 0
       obs.a_invalidate
 
-(* At jobs>1 the pipelined coverage phases may enter at racing id bases,
-   so a phase artifact can conservatively miss — the contract is byte
-   identity, not hit count. *)
-let test_audit_warm_jobs2 () =
-  check_matches_oracle ~name:"warm jobs=2"
-    (audit_obs ~jobs:2 ~cache:(Some (Lazy.force audit_store)) ())
-
-let test_audit_warm_jobs8 () =
-  check_matches_oracle ~name:"warm jobs=8"
-    (audit_obs ~jobs:8 ~cache:(Some (Lazy.force audit_store)) ())
+let test_audit_warm_jobs1 () = check_audit_warm ~jobs:1
+let test_audit_warm_jobs2 () = check_audit_warm ~jobs:2
+let test_audit_warm_jobs8 () = check_audit_warm ~jobs:8
 
 (* ------------------------------------------------------------------ *)
 (* Incremental: one edit, exact invalidation set, oracle equality      *)

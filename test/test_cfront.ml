@@ -373,19 +373,68 @@ let test_parse_extern_c () =
   Alcotest.(check bool) "extern" true (List.mem Cfront.Ast.Q_extern f.Cfront.Ast.f_quals);
   Alcotest.(check bool) "prototype" true (f.Cfront.Ast.f_body = None)
 
+let expr_ids tu =
+  let acc = ref [] in
+  List.iter
+    (fun f -> Cfront.Ast.iter_exprs_of_func (fun e -> acc := e.Cfront.Ast.eid :: !acc) f)
+    (Cfront.Ast.functions_of_tu tu);
+  List.rev !acc
+
+let stmt_ids tu =
+  let acc = ref [] in
+  List.iter
+    (fun (f : Cfront.Ast.func) ->
+      match f.Cfront.Ast.f_body with
+      | Some b -> Cfront.Ast.iter_stmts (fun s -> acc := s.Cfront.Ast.sid :: !acc) b
+      | None -> ())
+    (Cfront.Ast.functions_of_tu tu);
+  List.rev !acc
+
+(* Units of one program — from [parse_files] or chained with [~after] —
+   get disjoint id ranges, and every id lies inside its unit's range. *)
 let test_unique_ids_across_tus () =
-  let tu1 = parse "int A() { return 1; }" in
-  let tu2 = parse "int B() { return 2; }" in
-  let ids tu =
-    let acc = ref [] in
-    List.iter
-      (fun f ->
-        Cfront.Ast.iter_exprs_of_func (fun e -> acc := e.Cfront.Ast.eid :: !acc) f)
-      (Cfront.Ast.functions_of_tu tu);
-    !acc
+  let tus =
+    Cfront.Parser.parse_files
+      [ ("a.cc", "int A(int x) { if (x > 0) { return 1; } return 2; }");
+        ("b.cc", "int B() { return A(3) + 2; }") ]
   in
-  let shared = List.filter (fun i -> List.mem i (ids tu2)) (ids tu1) in
-  Alcotest.(check (list int)) "no id collisions" [] shared
+  let extra = Cfront.Parser.parse_file ~after:tus ~file:"c.cc" "int C() { return B(); }" in
+  let all = tus @ [ extra ] in
+  let shared ids_of =
+    List.concat_map
+      (fun (i, tu) ->
+        List.concat_map
+          (fun (j, tu') ->
+            if i < j then List.filter (fun id -> List.mem id (ids_of tu')) (ids_of tu)
+            else [])
+          (List.mapi (fun j t -> (j, t)) all))
+      (List.mapi (fun i t -> (i, t)) all)
+  in
+  Alcotest.(check (list int)) "no eid collisions" [] (shared expr_ids);
+  Alcotest.(check (list int)) "no sid collisions" [] (shared stmt_ids);
+  List.iter
+    (fun (tu : Cfront.Ast.tu) ->
+      let inside n id = id >= tu.Cfront.Ast.id_base && id < tu.Cfront.Ast.id_base + n in
+      Alcotest.(check bool) (tu.Cfront.Ast.tu_file ^ ": eids in range") true
+        (List.for_all (inside tu.Cfront.Ast.n_exprs) (expr_ids tu));
+      Alcotest.(check bool) (tu.Cfront.Ast.tu_file ^ ": sids in range") true
+        (List.for_all (inside tu.Cfront.Ast.n_stmts) (stmt_ids tu)))
+    all;
+  Alcotest.(check int) "first unit starts at 0" 0 (List.hd tus).Cfront.Ast.id_base;
+  Cfront.Ast.check_disjoint_ids ~caller:"test" all
+
+(* Ids are a property of the parse: the same source parsed twice, with
+   other parses in between, gets the same ids. *)
+let test_ids_deterministic_per_parse () =
+  let src = "int F(int a) { int r = 0; for (int i = 0; i < a; ++i) { r += i; } return r; }" in
+  let tu1 = parse src in
+  ignore (parse "int G() { return 1 + 2 + 3; }");
+  let tu2 = parse src in
+  Alcotest.(check (list int)) "same eids" (expr_ids tu1) (expr_ids tu2);
+  Alcotest.(check (list int)) "same sids" (stmt_ids tu1) (stmt_ids tu2);
+  Alcotest.(check int) "base 0" 0 tu2.Cfront.Ast.id_base;
+  Alcotest.(check bool) "structurally identical trees" true
+    (tu1.Cfront.Ast.tops = tu2.Cfront.Ast.tops)
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer round trip                                            *)
@@ -540,6 +589,8 @@ let () =
           Alcotest.test_case "device global" `Quick test_parse_device_global_var;
           Alcotest.test_case "extern C" `Quick test_parse_extern_c;
           Alcotest.test_case "unique ids across TUs" `Quick test_unique_ids_across_tus;
+          Alcotest.test_case "ids deterministic per parse" `Quick
+            test_ids_deterministic_per_parse;
         ] );
       ( "parser-stmts",
         [

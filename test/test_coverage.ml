@@ -232,11 +232,42 @@ let test_interp_null_deref () =
   | Ok _, _, _, _ -> Alcotest.fail "expected error"
 
 let test_interp_multi_tu_program () =
-  let tu1 = parse "int Helper(int a) { return a * 2; }" in
-  let tu2 = parse "int main() { return Helper(21); }" in
+  let tus =
+    Cfront.Parser.parse_files
+      [ ("c1.cu", "int Helper(int a) { return a * 2; }");
+        ("c2.cu", "int main() { return Helper(21); }") ]
+  in
   let env = Coverage.Interp.create () in
-  match Coverage.Interp.run env [ tu1; tu2 ] ~entry:"main" ~args:[] with
+  match Coverage.Interp.run env tus ~entry:"main" ~args:[] with
   | Ok v -> Alcotest.(check int64) "cross-unit call" 42L (Coverage.Value.as_int v)
+  | Error e -> Alcotest.failf "error: %s" e
+
+(* Separately parsed units both start at id 0: run together they would
+   share counter keys, so every place a unit list becomes a program
+   rejects them, naming both files. *)
+let test_aliased_ids_rejected () =
+  let tu1 = Cfront.Parser.parse_file ~file:"one.cu" "int Helper(int a) { return a * 2; }" in
+  let tu2 = Cfront.Parser.parse_file ~file:"two.cu" "int main() { return Helper(21); }" in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted aliased ids" name
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (name ^ " names both files") true
+        (Util.Strutil.contains_sub ~sub:"one.cu" msg
+         && Util.Strutil.contains_sub ~sub:"two.cu" msg)
+  in
+  let run tus ~entry ~args = Coverage.Interp.run (Coverage.Interp.create ()) tus ~entry ~args in
+  rejects "Interp.run" (fun () -> ignore (run [ tu1; tu2 ] ~entry:"main" ~args:[]));
+  rejects "Compile.compile" (fun () -> ignore (Coverage.Compile.compile [ tu1; tu2 ]));
+  (* across scenarios: each scenario alone is fine, the pair is not *)
+  rejects "Scenario.run_all" (fun () ->
+      ignore
+        (Coverage.Scenario.run_all
+           [ { Coverage.Scenario.sc_name = "a"; sc_tus = [ tu1 ]; sc_entries = [] };
+             { Coverage.Scenario.sc_name = "b"; sc_tus = [ tu2 ]; sc_entries = [] } ]));
+  (* the same unit listed twice is one unit, not an alias *)
+  match run [ tu1; tu1 ] ~entry:"Helper" ~args:[ Coverage.Value.Vint 4L ] with
+  | Ok v -> Alcotest.(check int64) "shared unit accepted" 8L (Coverage.Value.as_int v)
   | Error e -> Alcotest.failf "error: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -793,6 +824,7 @@ let () =
           Alcotest.test_case "uncaught throw" `Quick test_interp_uncaught_throw;
           Alcotest.test_case "null deref" `Quick test_interp_null_deref;
           Alcotest.test_case "multi-TU program" `Quick test_interp_multi_tu_program;
+          Alcotest.test_case "aliased ids rejected" `Quick test_aliased_ids_rejected;
         ] );
       ( "instrument",
         [

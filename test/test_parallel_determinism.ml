@@ -117,11 +117,9 @@ let oracle = lazy (run_pipeline ~jobs:1)
 (* per-file hit sets, same statement percentages, same MC/DC             *)
 (* satisfied-pair counts, same per-scenario results.                     *)
 (*                                                                      *)
-(* The set is built ONCE and shared by every jobs value: statement and   *)
-(* decision ids are assigned at parse time from a process-global         *)
-(* counter, so a second parse would yield different absolute ids and     *)
-(* nothing would be comparable.  Sharing the parse is also exactly what  *)
-(* production does (Corpus.Scenario_set).                                *)
+(* The set is built once and shared by every jobs value, as production  *)
+(* does (Corpus.Scenario_set).  Ids are a property of the parse, so a    *)
+(* rebuilt set must reproduce the same fingerprint too.                  *)
 (* ------------------------------------------------------------------ *)
 
 let coverage_set =
@@ -136,8 +134,7 @@ type coverage_result = {
   c_results : (string * string) list;  (** scenario/entry -> outcome *)
 }
 
-let run_coverage ~jobs =
-  let set = Lazy.force coverage_set in
+let run_coverage ?(set = Lazy.force coverage_set) ~jobs () =
   Util.Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs restore_jobs)
   @@ fun () ->
@@ -179,11 +176,11 @@ let run_coverage ~jobs =
         outcomes;
   }
 
-let coverage_oracle = lazy (run_coverage ~jobs:1)
+let coverage_oracle = lazy (run_coverage ~jobs:1 ())
 
 let check_coverage_equal ~jobs =
   let oracle = Lazy.force coverage_oracle in
-  let par = run_coverage ~jobs in
+  let par = run_coverage ~jobs () in
   Alcotest.(check string)
     (Printf.sprintf "merged collector fingerprint identical at jobs=%d" jobs)
     oracle.c_fingerprint par.c_fingerprint;
@@ -199,7 +196,7 @@ let test_coverage_jobs4 () = check_coverage_equal ~jobs:4
 
 let test_coverage_oracle_stable () =
   let a = Lazy.force coverage_oracle in
-  let b = run_coverage ~jobs:1 in
+  let b = run_coverage ~jobs:1 () in
   Alcotest.(check string) "sequential fingerprints agree" a.c_fingerprint
     b.c_fingerprint;
   Alcotest.(check (list string)) "sequential file lines agree" a.c_files
@@ -218,6 +215,16 @@ let test_coverage_oracle_stable () =
   Alcotest.(check bool) "real scenarios present" true (has "yolo-real");
   Alcotest.(check bool) "fault scenarios present" true (has "detections-");
   Alcotest.(check bool) "testgen probes present" true (has "testgen-probes")
+
+(* A second build of the set in the same process parses the YOLO sources
+   and drivers again; its ids, and so the merged fingerprint, must match
+   the first build's. *)
+let test_coverage_set_rebuilt () =
+  let a = Lazy.force coverage_oracle in
+  let b = run_coverage ~set:(Corpus.Scenario_set.full ()) ~jobs:1 () in
+  Alcotest.(check string) "rebuilt set, same merged fingerprint" a.c_fingerprint
+    b.c_fingerprint;
+  Alcotest.(check (list string)) "rebuilt set, same file lines" a.c_files b.c_files
 
 (* ------------------------------------------------------------------ *)
 (* Corpus generation differential                                       *)
@@ -256,6 +263,25 @@ let test_corpus_gen_stable () =
 let test_corpus_gen_jobs2 () = check_corpus_equal ~jobs:2
 let test_corpus_gen_jobs8 () = check_corpus_equal ~jobs:8
 
+(* Each corpus file's ids start at 0, so the parse — ids included — is
+   byte-identical at every jobs value. *)
+let test_parse_identical_across_jobs () =
+  let project = Corpus.Generator.generate ~seed:2019 Corpus.Apollo_profile.small in
+  let parse_at jobs =
+    Util.Pool.set_default_jobs jobs;
+    Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs restore_jobs)
+    @@ fun () ->
+    Marshal.to_string (Cfront.Project.parse project).Cfront.Project.files []
+  in
+  let oracle = parse_at 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "parsed files byte-identical at jobs=%d" jobs)
+        true
+        (String.equal oracle (parse_at jobs)))
+    [ 2; 8 ]
+
 let test_reports_jobs4 () =
   check_jobs_equal ~oracle:(Lazy.force oracle) ~jobs:4
 
@@ -289,6 +315,8 @@ let () =
             test_counters_jobs4;
           Alcotest.test_case "merged counters at jobs=2" `Slow
             test_counters_jobs2;
+          Alcotest.test_case "parse byte-identical at jobs=1/2/8" `Slow
+            test_parse_identical_across_jobs;
         ] );
       ( "corpus-gen",
         [
@@ -307,5 +335,7 @@ let () =
             test_coverage_jobs2;
           Alcotest.test_case "merged coverage at jobs=4" `Slow
             test_coverage_jobs4;
+          Alcotest.test_case "rebuilt set, same fingerprint" `Slow
+            test_coverage_set_rebuilt;
         ] );
     ]
