@@ -15,17 +15,7 @@
       layer adds [cache.invalidate]: the size of the manifest-diff
       invalidation set (changed files + transitive dependents). *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a64 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+let fnv1a64 s = Printf.sprintf "%016Lx" (Util.Strutil.fnv1a64 s)
 
 let magic = "adcheck-cache/1"
 

@@ -22,8 +22,8 @@
     analysis libraries consult [global ()] so that a single [--cache DIR]
     flag threads through every layer without signature churn. *)
 
-(** 64-bit FNV-1a over the bytes of [s], rendered as 16 lowercase hex
-    digits — the same discipline provenance uses for finding ids. *)
+(** {!Util.Strutil.fnv1a64} over the bytes of [s], rendered as 16
+    lowercase hex digits — the hash provenance uses for finding ids. *)
 val fnv1a64 : string -> string
 
 (** Schema salt baked into every artifact header and the store's VERSION

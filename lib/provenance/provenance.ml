@@ -25,47 +25,46 @@ let step ?loc label fmt =
 (* FNV-1a over the canonical serialization of the finding.  64-bit, so
    collisions are vanishingly unlikely at journal scale (tens of
    thousands of findings); ids are stable across runs, jobs values and
-   processes because they depend on nothing but the content. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+   processes because they depend on nothing but the content.
 
-let fnv1a64 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
+   The serialization is
 
+     kind \0 analysis \0 loc \0 message
+       { \0 label \1 loc \1 detail }   (one group per witness step)
+
+   where loc is [loc_key]: ["-"] for none, [file:line:col] otherwise.
+   The hash folds over those bytes piece by piece; the string itself is
+   never built. *)
 let loc_key = function
   | None -> "-"
   | Some l -> Cfront.Loc.to_string l
 
-let canonical_content ~kind ~analysis ~loc ~message ~witness =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf kind;
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf analysis;
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf (loc_key loc);
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf message;
-  List.iter
-    (fun s ->
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf s.w_label;
-      Buffer.add_char buf '\x01';
-      Buffer.add_string buf (loc_key s.w_loc);
-      Buffer.add_char buf '\x01';
-      Buffer.add_string buf s.w_detail)
-    witness;
-  Buffer.contents buf
+let hash_loc h loc =
+  let open Util.Strutil in
+  match loc with
+  | None -> fnv1a64_char h '-'
+  | Some (l : Cfront.Loc.t) ->
+    let h = fnv1a64_char (fnv1a64_string h l.file) ':' in
+    let h = fnv1a64_char (fnv1a64_string h (string_of_int l.line)) ':' in
+    fnv1a64_string h (string_of_int l.col)
+
+let content_hash ~kind ~analysis ~loc ~message ~witness =
+  let open Util.Strutil in
+  let after sep h s = fnv1a64_string (fnv1a64_char h sep) s in
+  let h = fnv1a64_string fnv_offset kind in
+  let h = after '\x00' h analysis in
+  let h = hash_loc (fnv1a64_char h '\x00') loc in
+  let h = after '\x00' h message in
+  List.fold_left
+    (fun h s ->
+      let h = after '\x00' h s.w_label in
+      let h = hash_loc (fnv1a64_char h '\x01') s.w_loc in
+      after '\x01' h s.w_detail)
+    h witness
 
 let make ~kind ~analysis ?loc ~message ~witness () =
   let id =
-    Printf.sprintf "F-%016Lx"
-      (fnv1a64 (canonical_content ~kind ~analysis ~loc ~message ~witness))
+    Printf.sprintf "F-%016Lx" (content_hash ~kind ~analysis ~loc ~message ~witness)
   in
   { f_id = id; f_kind = kind; f_analysis = analysis; f_loc = loc;
     f_message = message; f_witness = witness }
@@ -82,6 +81,16 @@ let locked f =
 
 let global_rev : finding list ref = ref []
 
+(* The canonical list [findings] last computed from the current
+   [global_rev]: every change to [global_rev] drops it, and [findings]
+   stores it only while [global_rev] is still physically the list it
+   sorted. *)
+let canonical : finding list option ref = ref None
+
+let set_global_rev l =
+  global_rev := l;
+  canonical := None
+
 (* The buffer of the innermost [collect] or pool task running on this
    domain, if any: recording never contends on the global mutex. *)
 let local_buf : finding list ref option Domain.DLS.key =
@@ -91,12 +100,13 @@ let record f =
   Telemetry.incr ("provenance.findings." ^ f.f_kind);
   match Domain.DLS.get local_buf with
   | Some buf -> buf := f :: !buf
-  | None -> locked (fun () -> global_rev := f :: !global_rev)
+  | None -> locked (fun () -> set_global_rev (f :: !global_rev))
 
 let absorb fs =
   match Domain.DLS.get local_buf with
   | Some buf -> buf := List.rev_append fs !buf
-  | None -> locked (fun () -> global_rev := List.rev_append fs !global_rev)
+  | None ->
+    if fs <> [] then locked (fun () -> set_global_rev (List.rev_append fs !global_rev))
 
 (* Install a fresh buffer; the returned function restores the previous
    one and yields the buffered findings in record order. *)
@@ -139,31 +149,64 @@ let memo c ?owner ~kind ~key f =
     absorb fs;
     v
 
-let reset () = locked (fun () -> global_rev := [])
+let reset () = locked (fun () -> set_global_rev [])
 
 (* Canonical journal order: content-sorted, deduplicated by id.  The
    sort key starts with the human-meaningful fields so the journal reads
    grouped by kind and analysis; the id tiebreak makes the order total.
    Dedup by id is sound because the id is derived from the full content:
-   equal id means equal finding (hash collisions aside). *)
-let compare_findings a b =
-  let key f =
-    (f.f_kind, f.f_analysis, loc_key f.f_loc, f.f_message, f.f_id)
-  in
-  compare (key a) (key b)
+   equal id means equal finding (hash collisions aside).
 
+   Each finding's key is built once ([loc_key] is the only derived
+   field) and compared field by field with [String.compare] — the order
+   polymorphic [compare] gives the key tuple.  The sort is stable over
+   record order, so the first of two equal keys in sorted order is the
+   first recorded, as with [List.sort]. *)
+type keyed = { k_loc : string; k_f : finding }
+
+let compare_keyed a b =
+  let fa = a.k_f and fb = b.k_f in
+  let c = String.compare fa.f_kind fb.f_kind in
+  if c <> 0 then c
+  else
+    let c = String.compare fa.f_analysis fb.f_analysis in
+    if c <> 0 then c
+    else
+      let c = String.compare a.k_loc b.k_loc in
+      if c <> 0 then c
+      else
+        let c = String.compare fa.f_message fb.f_message in
+        if c <> 0 then c else String.compare fa.f_id fb.f_id
+
+let canonical_order rev =
+  let keyed =
+    Array.of_list (List.rev_map (fun f -> { k_loc = loc_key f.f_loc; k_f = f }) rev)
+  in
+  Array.stable_sort compare_keyed keyed;
+  let seen = Hashtbl.create (Array.length keyed) in
+  let kept =
+    Array.fold_left
+      (fun acc { k_f = f; _ } ->
+        if Hashtbl.mem seen f.f_id then acc
+        else begin
+          Hashtbl.add seen f.f_id ();
+          f :: acc
+        end)
+      [] keyed
+  in
+  List.rev kept
+
+(* One sort per journal state: the audit's [journal] field, [journal ()]
+   and [find] share it.  The sort runs outside the lock and is kept only
+   if nothing was recorded meanwhile. *)
 let findings () =
-  let all = locked (fun () -> List.rev !global_rev) in
-  let sorted = List.sort compare_findings all in
-  let seen = Hashtbl.create 256 in
-  List.filter
-    (fun f ->
-      if Hashtbl.mem seen f.f_id then false
-      else begin
-        Hashtbl.add seen f.f_id ();
-        true
-      end)
-    sorted
+  let raw, last = locked (fun () -> (!global_rev, !canonical)) in
+  match last with
+  | Some fs -> fs
+  | None ->
+    let fs = canonical_order raw in
+    locked (fun () -> if !global_rev == raw then canonical := Some fs);
+    fs
 
 let find id =
   let fs = findings () in
@@ -193,60 +236,127 @@ let find id =
 (* adcheck-evidence/1                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Everything renders straight into the caller's buffer: no per-field
+   string, no [Printf].  A JSON string escapes the double quote, the
+   backslash and the control bytes below 0x20 (newline, carriage return
+   and tab by name, the rest as \u00XX); every other byte, UTF-8
+   included, is copied as is, in runs. *)
+let hex_digits = "0123456789abcdef"
 
-let loc_json = function
-  | None -> "null"
-  | Some l -> Printf.sprintf "\"%s\"" (json_escape (Cfront.Loc.to_string l))
+let add_escaped buf s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | c ->
+         Buffer.add_string buf "\\u00";
+         Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+         Buffer.add_char buf hex_digits.[Char.code c land 0xf]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start)
 
-let finding_json f =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"id\":\"%s\",\"kind\":\"%s\",\"analysis\":\"%s\",\"loc\":%s,\"message\":\"%s\",\"witness\":["
-       (json_escape f.f_id) (json_escape f.f_kind) (json_escape f.f_analysis)
-       (loc_json f.f_loc) (json_escape f.f_message));
+let add_json_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
+
+(* [n] in decimal, as [%d] prints it. *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+  end
+
+let add_loc_json buf = function
+  | None -> Buffer.add_string buf "null"
+  | Some (l : Cfront.Loc.t) ->
+    Buffer.add_char buf '"';
+    add_escaped buf l.file;
+    Buffer.add_char buf ':';
+    add_int buf l.line;
+    Buffer.add_char buf ':';
+    add_int buf l.col;
+    Buffer.add_char buf '"'
+
+(* One finding's line, newline included. *)
+let add_finding buf f =
+  Buffer.add_string buf "{\"id\":";
+  add_json_string buf f.f_id;
+  Buffer.add_string buf ",\"kind\":";
+  add_json_string buf f.f_kind;
+  Buffer.add_string buf ",\"analysis\":";
+  add_json_string buf f.f_analysis;
+  Buffer.add_string buf ",\"loc\":";
+  add_loc_json buf f.f_loc;
+  Buffer.add_string buf ",\"message\":";
+  add_json_string buf f.f_message;
+  Buffer.add_string buf ",\"witness\":[";
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"label\":\"%s\",\"loc\":%s,\"detail\":\"%s\"}"
-           (json_escape s.w_label) (loc_json s.w_loc) (json_escape s.w_detail)))
+      Buffer.add_string buf "{\"label\":";
+      add_json_string buf s.w_label;
+      Buffer.add_string buf ",\"loc\":";
+      add_loc_json buf s.w_loc;
+      Buffer.add_string buf ",\"detail\":";
+      add_json_string buf s.w_detail;
+      Buffer.add_char buf '}')
     f.f_witness;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Buffer.add_string buf "]}\n"
+
+let add_header buf n =
+  Buffer.add_string buf "{\"schema\":\"adcheck-evidence/1\",\"findings\":";
+  add_int buf n;
+  Buffer.add_string buf "}\n"
+
+(* [f]'s line length from field lengths and the fixed JSON punctuation,
+   escapes not counted and line/column taken as up to 6 digits: sizes
+   the journal buffer so it rarely regrows. *)
+let loc_size = function
+  | None -> 4
+  | Some (l : Cfront.Loc.t) -> String.length l.file + 16
+
+let finding_size f =
+  List.fold_left
+    (fun n s ->
+      n + 32 + String.length s.w_label + loc_size s.w_loc + String.length s.w_detail)
+    (67 + String.length f.f_id + String.length f.f_kind
+     + String.length f.f_analysis + loc_size f.f_loc + String.length f.f_message)
+    f.f_witness
 
 let journal () =
   let fs = findings () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema\":\"adcheck-evidence/1\",\"findings\":%d}\n"
-       (List.length fs));
-  List.iter
-    (fun f ->
-      Buffer.add_string buf (finding_json f);
-      Buffer.add_char buf '\n')
-    fs;
+  let size = List.fold_left (fun n f -> n + finding_size f) 64 fs in
+  let buf = Buffer.create (size + (size / 32)) in
+  add_header buf (List.length fs);
+  List.iter (add_finding buf) fs;
   Buffer.contents buf
 
+(* Streams line by line through one reused buffer: the journal is never
+   held whole in memory. *)
 let write_journal ~path () =
-  let oc = open_out path in
-  output_string oc (journal ());
-  close_out oc
+  let fs = findings () in
+  Out_channel.with_open_bin path (fun oc ->
+      let buf = Buffer.create 4096 in
+      add_header buf (List.length fs);
+      List.iter
+        (fun f ->
+          add_finding buf f;
+          Buffer.output_buffer oc buf;
+          Buffer.clear buf)
+        fs;
+      Buffer.output_buffer oc buf)
 
 (* ------------------------------------------------------------------ *)
 (* Human-readable why-chains                                           *)

@@ -93,11 +93,21 @@ val memo :
 val reset : unit -> unit
 
 (** The journal in canonical order: sorted by (kind, analysis, location,
-    message, id), deduplicated by id.  This is the export order. *)
+    message, id), deduplicated by id.  This is the export order.
+
+    {b Cost.}  One sort per journal state: the first call after the
+    global journal changes sorts it (keys built once per finding,
+    O(n log n) string comparisons) and remembers the result; later calls
+    return that same list, physically, until {!record}, {!absorb} (or a
+    pool task's findings merging at its await) or {!reset} changes the
+    global journal again.  {!journal}, {!write_journal} and {!find}
+    share the remembered list.  Recording into a {!collect} or task
+    buffer does not invalidate it. *)
 val findings : unit -> finding list
 
 (** Look up by exact id, or by a unique id prefix of at least 4
-    characters.  [Error] explains the failure (unknown / ambiguous). *)
+    characters, in {!findings} (a linear scan; no re-sort).  [Error]
+    explains the failure (unknown / ambiguous). *)
 val find : string -> (finding, string) result
 
 (* ------------------------------------------------------------------ *)
@@ -107,10 +117,15 @@ val find : string -> (finding, string) result
 (** The journal as [adcheck-evidence/1] JSONL: a header line carrying
     the schema and finding count, then one canonical JSON object per
     finding.  Byte-identical at every [--jobs] value under the tick
-    clock. *)
+    clock.  Costs one pass over {!findings} (no sort when it is already
+    remembered): every field is escaped straight into one buffer sized
+    up front, with no per-finding intermediate string. *)
 val journal : unit -> string
 
-(** Write {!journal} to [path].  @raise Sys_error as [open_out] does. *)
+(** Write {!journal}'s bytes to [path], streamed one finding at a time
+    through a reused buffer, so the whole journal is never held in
+    memory; the file is closed on every exit path.
+    @raise Sys_error as [open_out_bin] does. *)
 val write_journal : path:string -> unit -> unit
 
 (** Render one finding's full why-chain as human-readable text.

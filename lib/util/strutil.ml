@@ -76,3 +76,22 @@ let indent_width line =
 
 let count_char c s =
   String.fold_left (fun acc ch -> if ch = c then acc + 1 else acc) 0 s
+
+(** 64-bit FNV-1a.  [fnv1a64_string h s] continues hash [h] over the
+    bytes of [s] (an index loop over an unboxed local: no allocation per
+    byte), [fnv1a64_char h c] over one byte; [fnv1a64 s] hashes [s] from
+    [fnv_offset]. *)
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+let fnv1a64_char h c =
+  Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) fnv_prime
+
+let fnv1a64_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv1a64_char !h (String.unsafe_get s i)
+  done;
+  !h
+
+let fnv1a64 s = fnv1a64_string fnv_offset s

@@ -2,7 +2,9 @@
    collect/absorb buffering discipline (also for a collect whose domain
    helps with queued tasks while it awaits), pool tasks merging their
    findings only through their own futures, canonical export order and
-   dedup, id/prefix lookup, the adcheck-evidence/1 JSONL exporter,
+   dedup, id/prefix lookup, the adcheck-evidence/1 JSONL exporter, a
+   reference implementation of ids, order and rendering as the
+   byte-level oracle, the sort-once-per-journal-state invalidation,
    explain rendering with source excerpts, first-covering-scenario
    attribution in the coverage collector, the audit round-trip (every
    journal finding resolves by id to a non-empty witness chain), the
@@ -304,6 +306,214 @@ let test_journal_format () =
    | () -> Alcotest.fail "expected Sys_error"
    | exception Sys_error _ -> ());
   P.reset ()
+
+(* ------------------------------------------------------------------ *)
+(* Reference oracle: the journal as it was first implemented           *)
+(* ------------------------------------------------------------------ *)
+
+(* The straightforward implementation the journal must keep matching
+   byte for byte: ids hash the materialised canonical string with a
+   [String.iter] fold and print with [Printf]; the canonical order is a
+   [List.sort] on the key tuple under polymorphic [compare] with
+   [Hashtbl] dedup; rendering goes through [Printf] and a [json_escape]
+   buffer per field. *)
+module Reference = struct
+  let fnv1a64 s =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.logxor !h (Int64.of_int (Char.code c));
+        h := Int64.mul !h 0x100000001b3L)
+      s;
+    !h
+
+  let loc_key = function
+    | None -> "-"
+    | Some l -> Cfront.Loc.to_string l
+
+  let canonical_content (f : P.finding) =
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf f.P.f_kind;
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf f.P.f_analysis;
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf (loc_key f.P.f_loc);
+    Buffer.add_char buf '\x00';
+    Buffer.add_string buf f.P.f_message;
+    List.iter
+      (fun s ->
+        Buffer.add_char buf '\x00';
+        Buffer.add_string buf s.P.w_label;
+        Buffer.add_char buf '\x01';
+        Buffer.add_string buf (loc_key s.P.w_loc);
+        Buffer.add_char buf '\x01';
+        Buffer.add_string buf s.P.w_detail)
+      f.P.f_witness;
+    Buffer.contents buf
+
+  let id f = Printf.sprintf "F-%016Lx" (fnv1a64 (canonical_content f))
+
+  let findings recorded =
+    let key (f : P.finding) =
+      (f.P.f_kind, f.P.f_analysis, loc_key f.P.f_loc, f.P.f_message, f.P.f_id)
+    in
+    let sorted = List.sort (fun a b -> compare (key a) (key b)) recorded in
+    let seen = Hashtbl.create 256 in
+    List.filter
+      (fun (f : P.finding) ->
+        if Hashtbl.mem seen f.P.f_id then false
+        else begin
+          Hashtbl.add seen f.P.f_id ();
+          true
+        end)
+      sorted
+
+  let json_escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let loc_json = function
+    | None -> "null"
+    | Some l -> Printf.sprintf "\"%s\"" (json_escape (Cfront.Loc.to_string l))
+
+  let finding_json (f : P.finding) =
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf
+      (Printf.sprintf
+         "{\"id\":\"%s\",\"kind\":\"%s\",\"analysis\":\"%s\",\"loc\":%s,\"message\":\"%s\",\"witness\":["
+         (json_escape f.P.f_id) (json_escape f.P.f_kind)
+         (json_escape f.P.f_analysis) (loc_json f.P.f_loc)
+         (json_escape f.P.f_message));
+    List.iteri
+      (fun i s ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf
+          (Printf.sprintf "{\"label\":\"%s\",\"loc\":%s,\"detail\":\"%s\"}"
+             (json_escape s.P.w_label) (loc_json s.P.w_loc)
+             (json_escape s.P.w_detail)))
+      f.P.f_witness;
+    Buffer.add_string buf "]}";
+    Buffer.contents buf
+
+  let journal fs =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf
+      (Printf.sprintf "{\"schema\":\"adcheck-evidence/1\",\"findings\":%d}\n"
+         (List.length fs));
+    List.iter
+      (fun f ->
+        Buffer.add_string buf (finding_json f);
+        Buffer.add_char buf '\n')
+      fs;
+    Buffer.contents buf
+end
+
+(* Random findings drawn from small pools, so that sort keys tie on
+   leading fields and equal content recurs; strings carry the bytes
+   JSON must escape (quote, backslash, newline, tab, other control
+   bytes), and line/column numbers straddle 9/10 so string order and
+   numeric order of locations disagree (f.cc:10:1 < f.cc:9:1). *)
+let gen_findings =
+  let open QCheck.Gen in
+  let text =
+    string_size ~gen:(oneofl [ 'a'; 'z'; ' '; ':'; '9'; '"'; '\\'; '\n'; '\t'; '\r'; '\x00'; '\x01'; '\x1f'; '\x7f'; '\xc3' ])
+      (int_range 0 5)
+  in
+  let pick xs = oneof [ oneofl xs; text ] in
+  let loc =
+    opt
+      (map3
+         (fun file line col -> Cfront.Loc.make ~file ~line ~col)
+         (pick [ "f.cc"; "g.cc"; "say \"hi\".c"; "dir\\x.h" ])
+         (int_range (-1) 12) (int_range 0 11))
+  in
+  let step =
+    map3
+      (fun label loc detail -> P.step ?loc label "%s" detail)
+      (pick [ "decl"; "use"; "call" ]) loc (pick [ "x"; "y = 1"; "tab\there" ])
+  in
+  let finding =
+    map3
+      (fun (kind, analysis) (loc, message) witness ->
+        P.make ~kind ~analysis ?loc ~message ~witness ())
+      (pair (oneofl [ "misra"; "dataflow"; "coverage" ]) (pick [ "9.1"; "17.2"; "dead-store" ]))
+      (pair loc (pick [ "m"; "he said \"no\""; "line\nbreak" ]))
+      (list_size (int_range 0 3) step)
+  in
+  (* every finding at index i with i mod 3 = 0 is recorded twice *)
+  map
+    (fun fs -> fs @ List.filteri (fun i _ -> i mod 3 = 0) fs)
+    (list_size (int_range 0 40) finding)
+
+let arb_findings =
+  QCheck.make gen_findings ~print:(fun fs ->
+      String.concat "\n" (List.map Reference.canonical_content fs))
+
+let prop_journal_matches_reference =
+  QCheck.Test.make ~name:"findings and journal match the reference" ~count:300
+    arb_findings (fun recorded ->
+      P.reset ();
+      Fun.protect ~finally:P.reset @@ fun () ->
+      List.iter
+        (fun f ->
+          if f.P.f_id <> Reference.id f then
+            QCheck.Test.fail_reportf "id %s, reference %s" f.P.f_id (Reference.id f))
+        recorded;
+      List.iter P.record recorded;
+      let expected = Reference.findings recorded in
+      if P.findings () <> expected then
+        QCheck.Test.fail_reportf "findings () differ from the reference order";
+      let j = P.journal () in
+      let rj = Reference.journal expected in
+      if j <> rj then QCheck.Test.fail_reportf "journal:\n%s\nreference:\n%s" j rj;
+      true)
+
+(* [findings] sorts once per journal state: with nothing recorded in
+   between it returns the very same list, and every way a finding can
+   reach the global sink (record, absorb, a pool task's await) makes
+   the next call see it. *)
+let test_sort_once_invalidation () =
+  P.reset ();
+  Fun.protect ~finally:P.reset @@ fun () ->
+  let f1 = mk ~kind:"misra" ~analysis:"9.1" "one" in
+  let f2 = mk ~kind:"misra" ~analysis:"9.1" "two" in
+  let f3 = mk ~kind:"dataflow" ~analysis:"dead-store" "three" in
+  let f4 = mk ~kind:"coverage" ~analysis:"coverage-gap" "four" in
+  let ids () = List.sort compare (List.map (fun f -> f.P.f_id) (P.findings ())) in
+  let expect what fs =
+    Alcotest.(check (list string)) what
+      (List.sort compare (List.map (fun f -> f.P.f_id) fs))
+      (ids ())
+  in
+  P.record f1;
+  let first = P.findings () in
+  Alcotest.(check bool) "unchanged journal: physically the same list" true
+    (first == P.findings ());
+  ignore (P.journal () : string);
+  Alcotest.(check bool) "journal () reuses the same sort" true
+    (first == P.findings ());
+  P.record f2;
+  expect "record invalidates" [ f1; f2 ];
+  P.absorb [ f3 ];
+  expect "absorb invalidates" [ f1; f2; f3 ];
+  let pool = Util.Pool.create ~jobs:2 in
+  Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) (fun () ->
+      Util.Pool.await (Util.Pool.submit pool (fun () -> P.record f4)));
+  expect "a pool task's await at jobs=2 invalidates" [ f1; f2; f3; f4 ];
+  P.reset ();
+  Alcotest.(check int) "reset gives []" 0 (List.length (P.findings ()))
 
 let test_explain_excerpt () =
   let src = "int x;\nint y = x + 1;\n" in
@@ -616,6 +826,9 @@ let () =
             test_journal_format;
           Alcotest.test_case "explain renders the why-chain" `Quick
             test_explain_excerpt;
+          QCheck_alcotest.to_alcotest prop_journal_matches_reference;
+          Alcotest.test_case "sort once per journal state" `Quick
+            test_sort_once_invalidation;
         ] );
       ( "attribution",
         [

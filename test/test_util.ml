@@ -190,6 +190,37 @@ let test_indent_width () =
 let test_count_char () =
   Alcotest.(check int) "commas" 2 (Util.Strutil.count_char ',' "a,b,c")
 
+(* The published FNV-1a 64 test vectors, and the cache's hex form. *)
+let test_fnv1a64_vectors () =
+  let hex s = Printf.sprintf "%016Lx" (Util.Strutil.fnv1a64 s) in
+  Alcotest.(check string) "empty string" "cbf29ce484222325" (hex "");
+  Alcotest.(check string) "\"a\"" "af63dc4c8601ec8c" (hex "a");
+  Alcotest.(check string) "\"foobar\"" "85944171f73967e8" (hex "foobar");
+  Alcotest.(check string) "Cache.fnv1a64 is the same hash in hex"
+    (hex "foobar") (Cache.fnv1a64 "foobar")
+
+(* Reference: the textbook byte fold, one [String.iter] step per byte. *)
+let fnv1a64_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  !h
+
+let prop_fnv1a64_reference =
+  QCheck.Test.make ~name:"fnv1a64 = String.iter reference fold" ~count:500
+    QCheck.string
+    (fun s -> Int64.equal (Util.Strutil.fnv1a64 s) (fnv1a64_reference s))
+
+let prop_fnv1a64_continues =
+  QCheck.Test.make ~name:"fnv1a64_string continues a hash across pieces"
+    ~count:300 QCheck.(pair string string)
+    (fun (a, b) ->
+      let open Util.Strutil in
+      Int64.equal (fnv1a64 (a ^ b)) (fnv1a64_string (fnv1a64 a) b))
+
 let () =
   Alcotest.run "util"
     [
@@ -263,5 +294,8 @@ let () =
           Alcotest.test_case "contains and affixes" `Quick test_contains_and_affixes;
           Alcotest.test_case "indent width" `Quick test_indent_width;
           Alcotest.test_case "count char" `Quick test_count_char;
+          Alcotest.test_case "fnv1a64 known vectors" `Quick test_fnv1a64_vectors;
+          QCheck_alcotest.to_alcotest prop_fnv1a64_reference;
+          QCheck_alcotest.to_alcotest prop_fnv1a64_continues;
         ] );
     ]
